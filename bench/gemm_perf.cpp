@@ -1,12 +1,15 @@
 /**
  * @file
- * GEMM backend throughput: blocked+packed kernel vs the scalar baseline.
+ * GEMM backend throughput: the dispatched kernels vs the scalar loops.
  *
  * Measures the MLP-shaped sizes that dominate Phase-1 training and the
- * batched Phase-2 driver (the 128-row batch against the fast- and
- * paper-preset weight shapes), verifies every kernel against
- * gemmReference, and writes BENCH_gemm.json so the perf trajectory is
- * tracked from this PR on.
+ * batched Phase-2 driver: square 128-row products against the fast-
+ * and paper-preset hidden widths, and every GEMM a training step of the
+ * Fast-preset CNN surrogate (62-64-128-128-64-12) issues — forward,
+ * weight gradient and input gradient of all five layers — at batch 128
+ * and at one row (the Phase-2 single-sample query). Verifies every
+ * kernel against gemmReference, records which ISA variant ran, and
+ * writes BENCH_gemm.json.
  *
  * Knobs: MM_GEMM_SECS (target seconds per measurement, default 0.25),
  * MM_THREADS (lanes for the threaded rows, 0 = hardware concurrency).
@@ -17,6 +20,7 @@
 #include "bench/bench_util.hpp"
 #include "common/clock.hpp"
 #include "common/thread_pool.hpp"
+#include "support/gemm_oracle.hpp"
 #include "tensor/gemm.hpp"
 
 namespace {
@@ -35,9 +39,27 @@ randomMatrix(size_t rows, size_t cols, Rng &rng)
 
 struct Shape
 {
-    const char *name;
+    std::string name;
     size_t m, k, n;
+    bool transA = false, transB = false;
+    float beta = 0.0f;
+    bool threaded = false; ///< also time the pool-threaded call
 };
+
+/**
+ * The GEMMs DenseLayer issues for one in -> out layer over @p rows
+ * samples: forward y = x W^T, weight gradient dW += dZ^T x, input
+ * gradient dX = dZ W.
+ */
+void
+addLayerShapes(std::vector<Shape> &shapes, const std::string &layer,
+               size_t in, size_t out, size_t rows)
+{
+    const std::string tag = strCat(layer, "_b", rows);
+    shapes.push_back({tag + "_fwd", rows, in, out, false, true});
+    shapes.push_back({tag + "_dw", out, rows, in, true, false, 1.0f});
+    shapes.push_back({tag + "_dx", rows, out, in});
+}
 
 using GemmFn = std::function<void(const Matrix &, const Matrix &, Matrix &)>;
 
@@ -67,8 +89,10 @@ int
 main()
 {
     BenchEnv env;
-    banner("GEMM backend: blocked+packed+threaded vs scalar baseline",
-           "perf infrastructure (ISSUE 2); MLP-shaped sizes");
+    banner("GEMM backend: dispatched kernels vs scalar baseline",
+           strCat("MLP-shaped sizes and surrogate training GEMMs; kernel "
+                  "variant ",
+                  gemmKernelName()));
 
     const double targetSecs = envDouble("MM_GEMM_SECS", 0.25);
     size_t lanes = env.threads <= 0 ? std::thread::hardware_concurrency()
@@ -77,29 +101,42 @@ main()
         lanes = 1;
     ThreadPool pool(lanes);
 
-    const std::vector<Shape> shapes = {
-        {"batch128_fast_hidden", 128, 128, 128},
-        {"batch128_wide", 128, 512, 512},
-        {"batch128_paper_hidden", 128, 2048, 2048},
+    std::vector<Shape> shapes = {
+        {"batch128_fast_hidden", 128, 128, 128, false, false, 0.0f, true},
+        {"batch128_wide", 128, 512, 512, false, false, 0.0f, true},
+        {"batch128_paper_hidden", 128, 2048, 2048, false, false, 0.0f,
+         true},
     };
+    const std::vector<size_t> widths = {62, 64, 128, 128, 64, 12};
+    for (size_t rows : {size_t(128), size_t(1)})
+        for (size_t l = 0; l + 1 < widths.size(); ++l)
+            addLayerShapes(shapes, strCat("L", l), widths[l],
+                           widths[l + 1], rows);
 
-    Table table({"shape", "kernel", "threads", "ms/call", "gflops",
-                 "speedup_vs_naive"});
+    Table table({"shape", "m", "k", "n", "op", "path", "kernel", "threads",
+                 "us/call", "gflops", "speedup_vs_naive"});
     JsonArray series;
     Rng rng(42);
     for (const Shape &s : shapes) {
-        Matrix a = randomMatrix(s.m, s.k, rng);
-        Matrix b = randomMatrix(s.k, s.n, rng);
+        const bool ta = s.transA, tb = s.transB;
+        const float beta = s.beta;
+        Matrix a = ta ? randomMatrix(s.k, s.m, rng)
+                      : randomMatrix(s.m, s.k, rng);
+        Matrix b = tb ? randomMatrix(s.n, s.k, rng)
+                      : randomMatrix(s.k, s.n, rng);
         Matrix c(s.m, s.n);
         const double flops = 2.0 * double(s.m) * double(s.k) * double(s.n);
+        const std::string op =
+            std::string(ta ? "T" : "N") + std::string(tb ? "T" : "N");
+        const char *path = s.k * s.n < 4096 ? "skinny" : "blocked";
 
         // Correctness gate before timing anything.
         Matrix ref(s.m, s.n);
-        gemmReference(false, false, 1.0f, a, b, 0.0f, ref);
-        gemm(false, false, 1.0f, a, b, 0.0f, c, &pool);
+        gemmReference(ta, tb, 1.0f, a, b, 0.0f, ref);
+        gemm(ta, tb, 1.0f, a, b, 0.0f, c);
         double err = maxAbsDiff(c, ref);
         MM_ASSERT(err < 1e-2 * double(s.k),
-                  strCat("blocked gemm mismatch on ", s.name));
+                  strCat("gemm mismatch on ", s.name));
 
         struct Variant
         {
@@ -109,19 +146,20 @@ main()
         };
         std::vector<Variant> variants = {
             {"naive", 1,
-             [](const Matrix &a_, const Matrix &b_, Matrix &c_) {
-                 gemmNaive(false, false, 1.0f, a_, b_, 0.0f, c_);
+             [ta, tb, beta](const Matrix &a_, const Matrix &b_, Matrix &c_) {
+                 gemmNaive(ta, tb, 1.0f, a_, b_, beta, c_);
              }},
-            {"blocked", 1,
-             [](const Matrix &a_, const Matrix &b_, Matrix &c_) {
-                 gemm(false, false, 1.0f, a_, b_, 0.0f, c_);
+            {"gemm", 1,
+             [ta, tb, beta](const Matrix &a_, const Matrix &b_, Matrix &c_) {
+                 gemm(ta, tb, 1.0f, a_, b_, beta, c_);
              }},
         };
-        if (lanes > 1)
+        if (s.threaded && lanes > 1)
             variants.push_back(
-                {"blocked", int(lanes),
-                 [&pool](const Matrix &a_, const Matrix &b_, Matrix &c_) {
-                     gemm(false, false, 1.0f, a_, b_, 0.0f, c_, &pool);
+                {"gemm", int(lanes),
+                 [&pool, ta, tb, beta](const Matrix &a_, const Matrix &b_,
+                                       Matrix &c_) {
+                     gemm(ta, tb, 1.0f, a_, b_, beta, c_, &pool);
                  }});
 
         double naiveSec = 0.0;
@@ -130,8 +168,9 @@ main()
             if (std::string(v.kernel) == "naive")
                 naiveSec = sec;
             double speedup = naiveSec > 0.0 ? naiveSec / sec : 1.0;
-            table.addRow({s.name, v.kernel, strCat(v.threads),
-                          fmtDouble(sec * 1e3, 4),
+            table.addRow({s.name, strCat(s.m), strCat(s.k), strCat(s.n), op,
+                          path, v.kernel, strCat(v.threads),
+                          fmtDouble(sec * 1e6, 4),
                           fmtDouble(flops / sec * 1e-9, 3),
                           fmtDouble(speedup, 3)});
             JsonObject point;
@@ -139,6 +178,8 @@ main()
                 .set("m", int64_t(s.m))
                 .set("k", int64_t(s.k))
                 .set("n", int64_t(s.n))
+                .set("op", op)
+                .set("path", path)
                 .set("kernel", v.kernel)
                 .set("threads", v.threads)
                 .set("sec_per_call", sec)
@@ -153,7 +194,9 @@ main()
     table.print(std::cout);
 
     JsonObject json = benchJsonHeader("gemm", env);
-    json.set("lanes", int64_t(lanes)).setRaw("series", series.str());
+    json.set("lanes", int64_t(lanes))
+        .set("kernel_variant", gemmKernelName())
+        .setRaw("series", series.str());
     writeBenchJson("gemm", json);
     return 0;
 }

@@ -13,6 +13,7 @@
 #include "common/thread_pool.hpp"
 #include "mapping/codec.hpp"
 #include "mapping/moves.hpp"
+#include "support/gemm_oracle.hpp"
 #include "tensor/gemm.hpp"
 
 namespace {

@@ -113,8 +113,11 @@ applyActivationGradBias(Activation act, const Matrix &out,
             }
             break;
           case Activation::ReLU:
+            // d[c] is loaded unconditionally: a load under the branch
+            // keeps the loop from vectorizing.
             for (size_t c = 0; c < cols; ++c) {
-                g[c] = o[c] > 0.0f ? d[c] : 0.0f;
+                const float dc = d[c];
+                g[c] = o[c] > 0.0f ? dc : 0.0f;
                 db[c] += g[c];
             }
             break;

@@ -40,7 +40,7 @@ DenseLayer::backward(const Matrix &dOut)
 }
 
 void
-DenseLayer::backwardInto(const Matrix &dOut, Matrix &dIn)
+DenseLayer::backwardParams(const Matrix &dOut)
 {
     MM_ASSERT(dOut.rows() == cachedOut.rows()
                   && dOut.cols() == cachedOut.cols(),
@@ -50,6 +50,12 @@ DenseLayer::backwardInto(const Matrix &dOut, Matrix &dIn)
 
     // dW += dZ^T * x
     gemm(true, false, 1.0f, scratch, cachedIn, 1.0f, dWeights, gemmPool);
+}
+
+void
+DenseLayer::backwardInto(const Matrix &dOut, Matrix &dIn)
+{
+    backwardParams(dOut);
 
     // dX = dZ * W
     dIn.ensureShape(scratch.rows(), inDim());

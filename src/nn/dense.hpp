@@ -43,6 +43,13 @@ class DenseLayer
      */
     void backwardInto(const Matrix &dOut, Matrix &dIn);
 
+    /**
+     * Parameters-only backward: accumulates dW and dB exactly as
+     * backwardInto does but skips the dL/dx GEMM. For the first layer
+     * of a training step, whose input gradient nothing reads.
+     */
+    void backwardParams(const Matrix &dOut);
+
     /** Clear accumulated gradients. */
     void zeroGrad();
 

@@ -83,16 +83,32 @@ Mlp::backward(const Matrix &dOut)
 const Matrix &
 Mlp::backwardInPlace(const Matrix &dOut)
 {
+    return *backwardLayers(dOut, true);
+}
+
+void
+Mlp::backwardParams(const Matrix &dOut)
+{
+    backwardLayers(dOut, false);
+}
+
+const Matrix *
+Mlp::backwardLayers(const Matrix &dOut, bool inputGrad)
+{
     // Alternate between the two workspaces so no layer reads and writes
     // the same buffer.
     const Matrix *grad = &dOut;
     Matrix *next = &gradPing;
     for (size_t i = layers.size(); i > 0; --i) {
+        if (i == 1 && !inputGrad) {
+            layers.front().backwardParams(*grad);
+            return nullptr;
+        }
         layers[i - 1].backwardInto(*grad, *next);
         grad = next;
         next = next == &gradPing ? &gradPong : &gradPing;
     }
-    return *grad;
+    return grad;
 }
 
 void

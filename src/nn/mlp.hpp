@@ -49,6 +49,13 @@ class Mlp
      */
     const Matrix &backwardInPlace(const Matrix &dOut);
 
+    /**
+     * Training backward: accumulates every layer's weight gradients,
+     * bitwise as backwardInPlace does, without forming dL/d(input) (the
+     * first layer's input-gradient GEMM is skipped).
+     */
+    void backwardParams(const Matrix &dOut);
+
     /** Clear all accumulated gradients. */
     void zeroGrad();
 
@@ -85,6 +92,13 @@ class Mlp
     static Mlp load(std::istream &is);
 
   private:
+    /**
+     * Backward through every layer. Returns dL/d(input), owned by a
+     * workspace, when @p inputGrad; otherwise skips the first layer's
+     * dL/dx GEMM and returns nullptr.
+     */
+    const Matrix *backwardLayers(const Matrix &dOut, bool inputGrad);
+
     size_t inDim;
     std::vector<DenseLayer> layers;
     Matrix gradPing; ///< backward ping-pong workspace

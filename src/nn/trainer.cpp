@@ -171,7 +171,7 @@ RegressionTrainer::fit(BatchSource &train, BatchSource *test, Rng &rng,
             ++batches;
 
             net.zeroGrad();
-            net.backwardInPlace(grad);
+            net.backwardParams(grad);
             opt.step();
         }
 

@@ -243,7 +243,7 @@ DdpgSearcher::run(SearchContext &ctx)
         for (size_t i = 0; i < b; ++i)
             dq(i, 0) = (q(i, 0) - y(i, 0)) / float(b);
         critic.zeroGrad();
-        critic.backwardInPlace(dq);
+        critic.backwardParams(dq);
         criticOpt.step();
 
         // Actor step: ascend Q(s, actor(s)) through the critic's input
@@ -266,7 +266,7 @@ DdpgSearcher::run(SearchContext &ctx)
             std::copy(dx.row(i).begin() + long(sDim), dx.row(i).end(),
                       da.row(i).begin());
         actor.zeroGrad();
-        actor.backwardInPlace(da);
+        actor.backwardParams(da);
         actorOpt.step();
         critic.zeroGrad();
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -66,6 +67,9 @@ ServeClient::connectTo(int port, std::string *error)
         fd = -1;
         return false;
     }
+    // Request lines are small writes; send each one at once.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     return true;
 }
 

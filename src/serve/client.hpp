@@ -45,6 +45,9 @@ class ServeClient
 
     bool connected() const { return fd >= 0; }
 
+    /** The connection's socket descriptor (-1 when not connected). */
+    int socketFd() const { return fd; }
+
     /** Send one line (appends '\n'). */
     bool sendLine(const std::string &line);
 

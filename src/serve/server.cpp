@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -313,6 +314,11 @@ SearchServer::acceptLoop()
         sendTimeout.tv_sec = 5;
         ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &sendTimeout,
                      sizeof(sendTimeout));
+        // Event lines are small writes: without TCP_NODELAY a result
+        // line can wait in Nagle's buffer for the client's next segment
+        // or a delayed ACK.
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         reapFinishedReaders();
         auto conn = std::make_shared<Connection>(fd);
         MutexLock lock(connMtx);

@@ -5,26 +5,27 @@
 
 #include "common/string_util.hpp"
 #include "common/thread_pool.hpp"
+#include "tensor/gemm_simd.hpp"
 
 namespace mm {
 
 namespace {
 
+using namespace gemm_detail;
+
 // ---------------------------------------------------------------------------
 // Blocking parameters.
 //
-// MR x NR is the micro-tile held in registers (NR = 16 floats = one
-// cache line = four SSE / two AVX vectors). MC x KC sizes the packed A
-// panel (~64 KiB, L2-resident); KC x NC sizes the packed B panel. MC
-// must be a multiple of MR and NC a multiple of NR.
+// MR x NR, the micro-tile held in registers, is per ISA variant (see
+// blockedRowsAvx512 below). MC x KC sizes the packed A panel (~64 KiB,
+// L2-resident); KC x NC sizes the packed B panel. MC must be a multiple
+// of every MR and NC of every NR.
 // ---------------------------------------------------------------------------
-constexpr size_t MR = 4;
-constexpr size_t NR = 16;
 constexpr size_t MC = 64;
 constexpr size_t KC = 256;
 constexpr size_t NC = 1024;
 
-/** Shapes with k*n below this stay on the scalar kernels. */
+/** Shapes with k*n below this take the skinny kernels (gemm_skinny.cpp). */
 constexpr size_t kBlockedMinKN = 4096;
 
 /** Minimum 2*m*n*k flops before row-range threading pays off. */
@@ -34,12 +35,6 @@ inline float
 elemA(const Matrix &a, bool transA, size_t i, size_t p)
 {
     return transA ? a(p, i) : a(i, p);
-}
-
-inline float
-elemB(const Matrix &b, bool transB, size_t p, size_t j)
-{
-    return transB ? b(j, p) : b(p, j);
 }
 
 /** Per-thread packing scratch; reused across calls, never shared. */
@@ -59,9 +54,11 @@ packBuffers()
 /**
  * Pack an mc x kc block of op(A), alpha folded in, as MR-row
  * micro-panels: panel ir holds [p][i] with the MR row values of each p
- * contiguous. Rows past mc are zero so the micro-kernel never branches.
+ * contiguous. A last partial panel is left unfilled past mc: the
+ * macro-kernel never reads those rows.
  */
-void
+template <size_t MR>
+MM_GEMM_INLINE void
 packA(const Matrix &a, bool transA, float alpha, size_t i0, size_t mc,
       size_t p0, size_t kc, float *dst)
 {
@@ -73,18 +70,17 @@ packA(const Matrix &a, bool transA, float alpha, size_t i0, size_t mc,
             for (size_t i = 0; i < rows; ++i)
                 panel[p * MR + i] =
                     alpha * elemA(a, transA, i0 + ir * MR + i, p0 + p);
-            for (size_t i = rows; i < MR; ++i)
-                panel[p * MR + i] = 0.0f;
         }
     }
 }
 
 /**
  * Pack a kc x nc block of op(B) as NR-column micro-panels: panel jr
- * holds [p][j] with the NR column values of each p contiguous (one
- * aligned cache line per p). Columns past nc are zero.
+ * holds [p][j] with the NR column values of each p contiguous (whole
+ * aligned cache lines per p). Columns past nc are zero.
  */
-void
+template <size_t NR>
+MM_GEMM_INLINE void
 packB(const Matrix &b, bool transB, size_t p0, size_t kc, size_t j0,
       size_t nc, float *dst)
 {
@@ -100,200 +96,105 @@ packB(const Matrix &b, bool transB, size_t p0, size_t kc, size_t j0,
             }
             continue;
         }
-        for (size_t p = 0; p < kc; ++p) {
-            for (size_t j = 0; j < cols; ++j)
-                panel[p * NR + j] =
-                    elemB(b, transB, p0 + p, j0 + jr * NR + j);
+        if (transB) {
+            transposeCopy(b.data() + (j0 + jr * NR) * b.cols() + p0,
+                          b.cols(), cols, kc, panel, NR);
+        } else {
+            for (size_t p = 0; p < kc; ++p)
+                for (size_t j = 0; j < cols; ++j)
+                    panel[p * NR + j] = b(p0 + p, j0 + jr * NR + j);
+        }
+        for (size_t p = 0; p < kc; ++p)
             for (size_t j = cols; j < NR; ++j)
                 panel[p * NR + j] = 0.0f;
-        }
     }
 }
 
-// The macro-kernel (with the micro-kernel inlined) is compiled once
-// portably and, on x86-64 Linux with GCC/Clang, additionally for
-// AVX2+FMA and AVX-512; the best variant the CPU supports is picked
-// once at first use. Per machine the chosen variant is fixed, so the
-// determinism guarantees (batch-size independence, thread-count
-// independence) are unaffected. Define MM_GEMM_NO_MULTIVERSION to
-// force the portable path.
-#if defined(__x86_64__) && defined(__gnu_linux__) && defined(__GNUC__)    \
-    && !defined(MM_GEMM_NO_MULTIVERSION) && !defined(__AVX512F__)
-#define MM_GEMM_MULTIVERSION 1
-#else
-#define MM_GEMM_MULTIVERSION 0
-#endif
-
-#if defined(__GNUC__)
-#define MM_GEMM_INLINE inline __attribute__((always_inline))
-#else
-#define MM_GEMM_INLINE inline
-#endif
-
 /**
- * acc[MR][NR] = sum_p apanel[p] (x) bpanel[p]. One strictly sequential
- * accumulation chain per element (no k-splitting, no horizontal sums):
- * the chain is what makes a row's result independent of which batch or
- * tile it lands in.
- *
- * The GNU-vector-extension variant keeps the MR x NR tile in eight
- * named half-row accumulators, which the compiler register-allocates
- * (the 2-D array form spills to the stack and runs ~2.5x slower). The
- * per-element arithmetic — one multiply-add per p, in p order — is
- * identical to the scalar fallback.
+ * C[0..R) x [0..nr) += the R x (NV * lanes) product of @p R rows of a
+ * packed A panel (row stride MR) and one packed B panel. One strictly
+ * sequential accumulation chain per element, starting from zero, one
+ * multiply-add per p in p order, then a single c += acc: no k-splitting
+ * and no horizontal sums, so a row's result does not depend on which
+ * batch, tile or kernel width it lands in.
  */
-#if defined(__GNUC__)
-
-using Vec8f = float __attribute__((vector_size(32)));
-
-MM_GEMM_INLINE Vec8f
-splat8(float v)
-{
-    return Vec8f{v, v, v, v, v, v, v, v};
-}
-
-MM_GEMM_INLINE Vec8f
-load8(const float *p)
-{
-    Vec8f v;
-    __builtin_memcpy(&v, p, sizeof(v));
-    return v;
-}
-
+template <size_t R, size_t MR, typename V, size_t NV>
 MM_GEMM_INLINE void
-store8(float *p, Vec8f v)
+microKernel(size_t kc, const float *apanel, const float *bpanel, float *c,
+            size_t ldc, size_t nr)
 {
-    __builtin_memcpy(p, &v, sizeof(v));
-}
-
-MM_GEMM_INLINE void
-microKernel(size_t kc, const float *apanel, const float *bpanel,
-            float acc[MR][NR])
-{
-    static_assert(MR == 4 && NR == 16, "micro-kernel is specialized");
-    Vec8f c00 = splat8(0.0f), c01 = splat8(0.0f);
-    Vec8f c10 = splat8(0.0f), c11 = splat8(0.0f);
-    Vec8f c20 = splat8(0.0f), c21 = splat8(0.0f);
-    Vec8f c30 = splat8(0.0f), c31 = splat8(0.0f);
+    constexpr size_t W = kLanes<V>;
+    constexpr size_t NR = NV * W;
+    V acc[R][NV];
+#pragma GCC unroll 8
+    for (size_t i = 0; i < R; ++i)
+#pragma GCC unroll 4
+        for (size_t v = 0; v < NV; ++v)
+            acc[i][v] = V{};
     for (size_t p = 0; p < kc; ++p) {
         const float *arow = apanel + p * MR;
         const float *brow = static_cast<const float *>(
             __builtin_assume_aligned(bpanel + p * NR, kMatrixAlignment));
-        const Vec8f b0 = load8(brow);
-        const Vec8f b1 = load8(brow + 8);
-        const Vec8f a0 = splat8(arow[0]);
-        c00 += a0 * b0;
-        c01 += a0 * b1;
-        const Vec8f a1 = splat8(arow[1]);
-        c10 += a1 * b0;
-        c11 += a1 * b1;
-        const Vec8f a2 = splat8(arow[2]);
-        c20 += a2 * b0;
-        c21 += a2 * b1;
-        const Vec8f a3 = splat8(arow[3]);
-        c30 += a3 * b0;
-        c31 += a3 * b1;
-    }
-    store8(acc[0], c00);
-    store8(acc[0] + 8, c01);
-    store8(acc[1], c10);
-    store8(acc[1] + 8, c11);
-    store8(acc[2], c20);
-    store8(acc[2] + 8, c21);
-    store8(acc[3], c30);
-    store8(acc[3] + 8, c31);
-}
-
-#else // !__GNUC__: portable scalar micro-kernel
-
-MM_GEMM_INLINE void
-microKernel(size_t kc, const float *apanel, const float *bpanel,
-            float acc[MR][NR])
-{
-    for (size_t i = 0; i < MR; ++i)
-        for (size_t j = 0; j < NR; ++j)
-            acc[i][j] = 0.0f;
-    for (size_t p = 0; p < kc; ++p) {
-        const float *arow = apanel + p * MR;
-        const float *brow = bpanel + p * NR;
-        for (size_t i = 0; i < MR; ++i) {
+        V bv[NV];
+#pragma GCC unroll 4
+        for (size_t v = 0; v < NV; ++v)
+            bv[v] = loadv<V>(brow + v * W);
+#pragma GCC unroll 8
+        for (size_t i = 0; i < R; ++i) {
+            // Scalar-times-vector broadcasts the scalar exactly.
             const float av = arow[i];
-            for (size_t j = 0; j < NR; ++j)
-                acc[i][j] += av * brow[j];
+#pragma GCC unroll 4
+            for (size_t v = 0; v < NV; ++v)
+                acc[i][v] += av * bv[v];
         }
     }
+#pragma GCC unroll 8
+    for (size_t i = 0; i < R; ++i) {
+        V cv[NV];
+        loadCols<V, NV>(c + i * ldc, nr, cv);
+#pragma GCC unroll 4
+        for (size_t v = 0; v < NV; ++v)
+            cv[v] += acc[i][v];
+        storeCols<V, NV>(c + i * ldc, nr, cv);
+    }
 }
 
-#endif
-
-/** C block += packed-A panel * packed-B panel, clipping tile edges. */
+/**
+ * C block += packed-A panels * packed-B panels, clipping tile edges.
+ * Rows past the last full MR panel go through narrower kernels instead
+ * of zero-padded rows, so a one-row call does one row of work.
+ */
+template <size_t MR, typename V, size_t NV>
 MM_GEMM_INLINE void
-macroKernelImpl(const float *ap, const float *bp, size_t kc, Matrix &c,
-                size_t ic, size_t mc, size_t jc, size_t nc)
+macroKernel(const float *ap, const float *bp, size_t kc, Matrix &c,
+            size_t ic, size_t mc, size_t jc, size_t nc)
 {
+    constexpr size_t NR = NV * kLanes<V>;
     const size_t ldc = c.cols();
     for (size_t jr = 0; jr < nc; jr += NR) {
         const float *bpanel = bp + (jr / NR) * kc * NR;
         const size_t nr = std::min(NR, nc - jr);
         for (size_t ir = 0; ir < mc; ir += MR) {
             const float *apanel = ap + (ir / MR) * kc * MR;
+            float *cp = c.data() + (ic + ir) * ldc + jc + jr;
             const size_t mr = std::min(MR, mc - ir);
-            float acc[MR][NR];
-            microKernel(kc, apanel, bpanel, acc);
-            for (size_t i = 0; i < mr; ++i) {
-                float *crow = c.data() + (ic + ir + i) * ldc + jc + jr;
-                for (size_t j = 0; j < nr; ++j)
-                    crow[j] += acc[i][j];
+            if (mr == MR) {
+                microKernel<MR, MR, V, NV>(kc, apanel, bpanel, cp, ldc, nr);
+                continue;
             }
+            size_t i = 0;
+            if constexpr (MR > 4) {
+                if (mr >= 4) {
+                    microKernel<4, MR, V, NV>(kc, apanel, bpanel, cp, ldc,
+                                              nr);
+                    i = 4;
+                }
+            }
+            for (; i < mr; ++i)
+                microKernel<1, MR, V, NV>(kc, apanel + i, bpanel,
+                                          cp + i * ldc, ldc, nr);
         }
     }
-}
-
-#if MM_GEMM_MULTIVERSION
-__attribute__((target("avx2,fma"))) void
-macroKernelAvx2(const float *ap, const float *bp, size_t kc, Matrix &c,
-                size_t ic, size_t mc, size_t jc, size_t nc)
-{
-    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
-}
-
-__attribute__((target("avx512f,avx512vl,avx2,fma"))) void
-macroKernelAvx512(const float *ap, const float *bp, size_t kc, Matrix &c,
-                  size_t ic, size_t mc, size_t jc, size_t nc)
-{
-    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
-}
-#endif
-
-void
-macroKernelPortable(const float *ap, const float *bp, size_t kc, Matrix &c,
-                    size_t ic, size_t mc, size_t jc, size_t nc)
-{
-    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
-}
-
-using MacroKernelFn = void (*)(const float *, const float *, size_t,
-                               Matrix &, size_t, size_t, size_t, size_t);
-
-MacroKernelFn
-resolveMacroKernel()
-{
-#if MM_GEMM_MULTIVERSION
-    if (__builtin_cpu_supports("avx512f")
-        && __builtin_cpu_supports("avx512vl"))
-        return macroKernelAvx512;
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-        return macroKernelAvx2;
-#endif
-    return macroKernelPortable;
-}
-
-void
-macroKernel(const float *ap, const float *bp, size_t kc, Matrix &c,
-            size_t ic, size_t mc, size_t jc, size_t nc)
-{
-    static const MacroKernelFn fn = resolveMacroKernel();
-    fn(ap, bp, kc, c, ic, mc, jc, nc);
 }
 
 /**
@@ -301,125 +202,95 @@ macroKernel(const float *ap, const float *bp, size_t kc, Matrix &c,
  * The k partition and per-element accumulation order are row-range
  * independent, so any row split yields bitwise-identical results.
  */
-void
-gemmBlockedRows(bool transA, bool transB, float alpha, const Matrix &a,
+template <size_t MR, typename V, size_t NV>
+MM_GEMM_INLINE void
+blockedRowsImpl(bool transA, bool transB, float alpha, const Matrix &a,
                 const Matrix &b, Matrix &c, size_t rowBegin, size_t rowEnd,
                 size_t k, size_t n)
 {
+    constexpr size_t NR = NV * kLanes<V>;
+    static_assert(MC % MR == 0 && NC % NR == 0, "blocking mismatch");
     PackBuffers &ws = packBuffers();
     for (size_t jc = 0; jc < n; jc += NC) {
         const size_t nc = std::min(NC, n - jc);
         const size_t nPad = (nc + NR - 1) / NR * NR;
         for (size_t pc = 0; pc < k; pc += KC) {
             const size_t kc = std::min(KC, k - pc);
-            ws.b.resize(kc * nPad);
-            packB(b, transB, pc, kc, jc, nc, ws.b.data());
+            float *bp = packScratch(ws.b, kc * nPad);
+            packB<NR>(b, transB, pc, kc, jc, nc, bp);
             for (size_t ic = rowBegin; ic < rowEnd; ic += MC) {
                 const size_t mc = std::min(MC, rowEnd - ic);
                 const size_t mPad = (mc + MR - 1) / MR * MR;
-                ws.a.resize(mPad * kc);
-                packA(a, transA, alpha, ic, mc, pc, kc, ws.a.data());
-                macroKernel(ws.a.data(), ws.b.data(), kc, c, ic, mc, jc,
-                            nc);
+                float *ap = packScratch(ws.a, mPad * kc);
+                packA<MR>(a, transA, alpha, ic, mc, pc, kc, ap);
+                macroKernel<MR, V, NV>(ap, bp, kc, c, ic, mc, jc, nc);
             }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Scalar small-shape kernels (the pre-blocking implementation).
-// ---------------------------------------------------------------------------
+using BlockedRowsFn = void (*)(bool, bool, float, const Matrix &,
+                               const Matrix &, Matrix &, size_t, size_t,
+                               size_t, size_t);
 
-/** C(m,n) += alpha * A(m,k) * B(k,n); ikj order, contiguous in B and C. */
-void
-gemmNN(float alpha, const Matrix &a, const Matrix &b, Matrix &c)
+// AVX-512 runs an 8 x 32 tile (16 zmm accumulators); AVX2 and the
+// portable build keep 4 x 16 (eight ymm / sixteen xmm halves). With
+// AVX2+FMA or wider, every multiply-add compiles to one FMA.
+#if MM_GEMM_MULTIVERSION
+MM_GEMM_TARGET_AVX512 void
+blockedRowsAvx512(bool transA, bool transB, float alpha, const Matrix &a,
+                  const Matrix &b, Matrix &c, size_t rowBegin,
+                  size_t rowEnd, size_t k, size_t n)
 {
-    const size_t m = a.rows(), k = a.cols(), n = b.cols();
-    for (size_t i = 0; i < m; ++i) {
-        const float *arow = a.data() + i * k;
-        float *crow = c.data() + i * n;
-        for (size_t p = 0; p < k; ++p) {
-            const float av = alpha * arow[p];
-            const float *brow = b.data() + p * n;
-            for (size_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
-        }
-    }
+    blockedRowsImpl<8, Vec16f, 2>(transA, transB, alpha, a, b, c, rowBegin,
+                                  rowEnd, k, n);
 }
 
-/** C(m,n) += alpha * A(m,k) * B(n,k)^T; dot products over contiguous rows. */
-void
-gemmNT(float alpha, const Matrix &a, const Matrix &b, Matrix &c)
+MM_GEMM_TARGET_AVX2 void
+blockedRowsAvx2(bool transA, bool transB, float alpha, const Matrix &a,
+                const Matrix &b, Matrix &c, size_t rowBegin, size_t rowEnd,
+                size_t k, size_t n)
 {
-    const size_t m = a.rows(), k = a.cols(), n = b.rows();
-    for (size_t i = 0; i < m; ++i) {
-        const float *arow = a.data() + i * k;
-        float *crow = c.data() + i * n;
-        for (size_t j = 0; j < n; ++j) {
-            const float *brow = b.data() + j * k;
-            float acc = 0.0f;
-            for (size_t p = 0; p < k; ++p)
-                acc += arow[p] * brow[p];
-            crow[j] += alpha * acc;
-        }
-    }
+    blockedRowsImpl<4, Vec8f, 2>(transA, transB, alpha, a, b, c, rowBegin,
+                                 rowEnd, k, n);
 }
-
-/** C(m,n) += alpha * A(k,m)^T * B(k,n); rank-1 updates, contiguous rows. */
-void
-gemmTN(float alpha, const Matrix &a, const Matrix &b, Matrix &c)
-{
-    const size_t k = a.rows(), m = a.cols(), n = b.cols();
-    for (size_t p = 0; p < k; ++p) {
-        const float *arow = a.data() + p * m;
-        const float *brow = b.data() + p * n;
-        for (size_t i = 0; i < m; ++i) {
-            const float av = alpha * arow[i];
-            float *crow = c.data() + i * n;
-            for (size_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
-        }
-    }
-}
-
-/**
- * C(m,n) += alpha * A(k,m)^T * B(n,k)^T. A's column is packed into a
- * contiguous scratch row first, turning the strided a(p, i) walk of the
- * inner dot product into the same contiguous NT form as the other
- * variants.
- */
-void
-gemmTT(float alpha, const Matrix &a, const Matrix &b, Matrix &c)
-{
-    const size_t k = a.rows(), m = a.cols(), n = b.rows();
-    AlignedFloatBuffer &apack = packBuffers().a;
-    apack.resize(k);
-    for (size_t i = 0; i < m; ++i) {
-        for (size_t p = 0; p < k; ++p)
-            apack[p] = a(p, i);
-        float *crow = c.data() + i * n;
-        for (size_t j = 0; j < n; ++j) {
-            const float *brow = b.data() + j * k;
-            float acc = 0.0f;
-            for (size_t p = 0; p < k; ++p)
-                acc += apack[p] * brow[p];
-            crow[j] += alpha * acc;
-        }
-    }
-}
+#endif
 
 void
-dispatchScalar(bool transA, bool transB, float alpha, const Matrix &a,
-               const Matrix &b, Matrix &c)
+blockedRowsPortable(bool transA, bool transB, float alpha, const Matrix &a,
+                    const Matrix &b, Matrix &c, size_t rowBegin,
+                    size_t rowEnd, size_t k, size_t n)
 {
-    if (!transA && !transB)
-        gemmNN(alpha, a, b, c);
-    else if (!transA && transB)
-        gemmNT(alpha, a, b, c);
-    else if (transA && !transB)
-        gemmTN(alpha, a, b, c);
-    else
-        gemmTT(alpha, a, b, c);
+    blockedRowsImpl<4, Vec8f, 2>(transA, transB, alpha, a, b, c, rowBegin,
+                                 rowEnd, k, n);
+}
+
+/** The kernels this CPU runs, chosen once. */
+struct Kernels
+{
+    GemmIsa isa;
+    BlockedRowsFn blockedRows;
+    const char *name;
+};
+
+Kernels
+resolveKernels()
+{
+#if MM_GEMM_MULTIVERSION
+    if (__builtin_cpu_supports("avx512f")
+        && __builtin_cpu_supports("avx512vl"))
+        return {GemmIsa::Avx512, blockedRowsAvx512, "avx512"};
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+        return {GemmIsa::Avx2, blockedRowsAvx2, "avx2"};
+#endif
+    return {GemmIsa::Portable, blockedRowsPortable, "portable"};
+}
+
+const Kernels &
+kernels()
+{
+    static const Kernels k = resolveKernels();
+    return k;
 }
 
 /** Shape-check and apply beta; returns {m, k, n}. */
@@ -454,8 +325,9 @@ gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
 
     // Dispatch on (k, n) only: a batched row and the same row alone must
     // take the same kernel so their arithmetic is identical.
+    const Kernels &kern = kernels();
     if (k * n < kBlockedMinKN) {
-        dispatchScalar(transA, transB, alpha, a, b, c);
+        skinnyGemm(kern.isa, transA, transB, alpha, a, b, c);
         return;
     }
 
@@ -465,7 +337,7 @@ gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
         chunks = std::max<size_t>(1, std::min(pool->lanes(), m / MC));
 
     if (chunks <= 1) {
-        gemmBlockedRows(transA, transB, alpha, a, b, c, 0, m, k, n);
+        kern.blockedRows(transA, transB, alpha, a, b, c, 0, m, k, n);
         return;
     }
 
@@ -478,40 +350,15 @@ gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
         const size_t r0 = b0 * MC;
         const size_t r1 = std::min(mm_, b1 * MC);
         if (r0 < r1)
-            gemmBlockedRows(transA, transB, alpha, a, b, c, r0, r1, k_,
-                            n_);
+            kern.blockedRows(transA, transB, alpha, a, b, c, r0, r1, k_,
+                             n_);
     });
 }
 
-void
-gemmNaive(bool transA, bool transB, float alpha, const Matrix &a,
-          const Matrix &b, float beta, Matrix &c)
+const char *
+gemmKernelName()
 {
-    auto [m, k, n] = prologue(transA, transB, a, b, beta, c);
-    if (m == 0 || n == 0 || k == 0 || alpha == 0.0f)
-        return;
-    dispatchScalar(transA, transB, alpha, a, b, c);
-}
-
-void
-gemmReference(bool transA, bool transB, float alpha, const Matrix &a,
-              const Matrix &b, float beta, Matrix &c)
-{
-    const size_t m = transA ? a.cols() : a.rows();
-    const size_t k = transA ? a.rows() : a.cols();
-    const size_t n = transB ? b.rows() : b.cols();
-    MM_ASSERT(c.rows() == m && c.cols() == n, "gemm output shape mismatch");
-    for (size_t i = 0; i < m; ++i) {
-        for (size_t j = 0; j < n; ++j) {
-            double acc = 0.0;
-            for (size_t p = 0; p < k; ++p) {
-                float av = transA ? a(p, i) : a(i, p);
-                float bv = transB ? b(j, p) : b(p, j);
-                acc += double(av) * double(bv);
-            }
-            c(i, j) = alpha * float(acc) + beta * c(i, j);
-        }
-    }
+    return kernels().name;
 }
 
 } // namespace mm

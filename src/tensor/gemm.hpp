@@ -2,22 +2,28 @@
  * @file
  * General matrix multiply with optional operand transposes.
  *
- * Two tiers share one entry point:
+ * One entry point, two kernel families, chosen by shape:
  *
- *  - A cache-blocked kernel (MC x KC x NC tiling) that packs A and B
- *    into aligned MR x NR micro-panels and drives a vectorizable
- *    micro-kernel; large shapes optionally fan row ranges out over a
- *    ThreadPool. This is the compute backbone of surrogate training and
- *    the batched Phase-2 driver.
- *  - Hand-specialized scalar loop orders for small shapes, where
- *    packing overhead would dominate.
+ *  - k*n >= 4096: a cache-blocked kernel (MC x KC x NC tiling) packs A
+ *    and B into aligned micro-panels and drives a register-tiled
+ *    micro-kernel (8 x 32 on AVX-512, 4 x 16 on AVX2 and portable
+ *    builds), one fused multiply-add chain per element. Large shapes
+ *    can fan row ranges out over a ThreadPool. This is the compute
+ *    backbone of surrogate training and the batched Phase-2 driver.
+ *  - k*n < 4096 (the MLP's skinny input/output layers): vectorized
+ *    row x column tiles that keep, per element, the arithmetic of plain
+ *    scalar loops (separate multiply and add, fixed p order).
  *
- * Kernel dispatch depends only on (k, n) — never on the row count — so
- * every row of a batched call goes through bitwise-identical arithmetic
- * to the same row evaluated alone (the batched-vs-per-sample surrogate
- * equivalence the Phase-2 driver relies on). Threading partitions C by
- * disjoint row ranges, so results are bitwise identical at any thread
- * count.
+ * Each family is compiled portably and for AVX2+FMA and AVX-512; the
+ * best variant the CPU supports is fixed at first use (gemmKernelName).
+ *
+ * Kernel choice depends only on (k, n) and the transposes, never on the
+ * row count, and every row-count-dependent tiling choice is between
+ * bitwise-equal paths: each row of a batched call gets bitwise the
+ * arithmetic of the same row evaluated alone (the batched-vs-per-sample
+ * surrogate equivalence the Phase-2 driver relies on). Threading
+ * partitions C by disjoint row ranges, so results are bitwise identical
+ * at any thread count.
  */
 #pragma once
 
@@ -40,15 +46,9 @@ void gemm(bool transA, bool transB, float alpha, const Matrix &a,
           ThreadPool *pool = nullptr);
 
 /**
- * The pre-blocking scalar kernels (contiguous-innermost loop orders,
- * no packing, no threading). Kept as the measurable baseline for the
- * blocked kernel and as the small-shape fast path.
+ * The kernel variant gemm() runs on this machine: "avx512", "avx2" or
+ * "portable". Fixed for the life of the process.
  */
-void gemmNaive(bool transA, bool transB, float alpha, const Matrix &a,
-               const Matrix &b, float beta, Matrix &c);
-
-/** Reference triple-loop implementation used for testing (fp64 acc). */
-void gemmReference(bool transA, bool transB, float alpha, const Matrix &a,
-                   const Matrix &b, float beta, Matrix &c);
+const char *gemmKernelName();
 
 } // namespace mm

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 
@@ -100,6 +101,46 @@ TEST(Mlp, BatchedForwardBackwardMatchesPerSample)
     ASSERT_EQ(gb.size(), gs.size());
     for (size_t i = 0; i < gb.size(); ++i)
         EXPECT_LE(maxAbsDiff(*gb[i], *gs[i]), 1e-10) << "grad " << i;
+}
+
+/**
+ * The training backward skips the first layer's input gradient; every
+ * weight and bias gradient must still be bitwise what backwardInPlace
+ * accumulates, for ReLU/Tanh/Identity layers and single-layer nets.
+ */
+TEST(Mlp, ParamsOnlyBackwardEqualsFullBackwardBitwise)
+{
+    Rng rng(404);
+    const std::vector<std::vector<LayerSpec>> topologies = {
+        {{64, Activation::ReLU},
+         {128, Activation::ReLU},
+         {64, Activation::Tanh},
+         {12, Activation::Identity}},
+        {{5, Activation::Identity}}};
+    for (const auto &specs : topologies) {
+        Mlp full(63, specs, rng);
+        Mlp paramsOnly = full;
+        for (size_t rows : {1u, 7u, 128u}) {
+            Matrix x = randomMatrix(rows, 63, rng);
+            Matrix dOut = randomMatrix(rows, full.outputDim(), rng);
+            for (int step = 0; step < 2; ++step) { // accumulates too
+                full.forward(x);
+                full.backwardInPlace(dOut);
+                paramsOnly.forward(x);
+                paramsOnly.backwardParams(dOut);
+            }
+            const std::vector<Matrix *> want = full.grads();
+            const std::vector<Matrix *> got = paramsOnly.grads();
+            ASSERT_EQ(want.size(), got.size());
+            for (size_t g = 0; g < want.size(); ++g)
+                EXPECT_EQ(std::memcmp(want[g]->data(), got[g]->data(),
+                                      want[g]->size() * sizeof(float)),
+                          0)
+                    << "grad " << g << " rows=" << rows;
+            full.zeroGrad();
+            paramsOnly.zeroGrad();
+        }
+    }
 }
 
 TEST(Mlp, WeightGradientsMatchFiniteDifferences)

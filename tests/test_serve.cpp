@@ -10,6 +10,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -780,6 +783,65 @@ TEST_F(ServeFixture, OversizedLineIsRejectedAndConnectionDropped)
     server.stop();
     // EOF, with no accepted line ever emitted for the ghost request.
     EXPECT_FALSE(c.readEvent().has_value());
+}
+
+/** TCP_NODELAY as getsockopt reports it on @p fd; -1 on error. */
+int
+tcpNoDelay(int fd)
+{
+    int value = 0;
+    socklen_t len = sizeof(value);
+    if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0)
+        return -1;
+    return value;
+}
+
+/**
+ * The server's end of an in-process loopback connection: the
+ * descriptor whose peer address is @p clientFd's local address, or -1.
+ */
+int
+serverEndOf(int clientFd)
+{
+    sockaddr_in local{};
+    socklen_t len = sizeof(local);
+    if (::getsockname(clientFd, reinterpret_cast<sockaddr *>(&local), &len)
+        != 0)
+        return -1;
+    for (int fd = 0; fd < 4096; ++fd) {
+        sockaddr_in peer{};
+        socklen_t peerLen = sizeof(peer);
+        if (fd != clientFd
+            && ::getpeername(fd, reinterpret_cast<sockaddr *>(&peer),
+                             &peerLen)
+                   == 0
+            && peer.sin_family == AF_INET && peer.sin_port == local.sin_port
+            && peer.sin_addr.s_addr == local.sin_addr.s_addr)
+            return fd;
+    }
+    return -1;
+}
+
+TEST_F(ServeFixture, BothEndsDisableNagle)
+{
+    SearchServer server(baseConfig());
+    server.start();
+
+    ServeClient c;
+    ASSERT_TRUE(c.connectTo(server.port()));
+    EXPECT_EQ(tcpNoDelay(c.socketFd()), 1);
+
+    // Once a request is answered the accept loop has configured the
+    // server's end of the connection.
+    ServeRequest req = longRandomRequest("nodelay");
+    req.steps = 64;
+    req.progressEvery = 0;
+    ASSERT_TRUE(c.sendRequest(req));
+    ASSERT_TRUE(c.waitFor("result", "nodelay").has_value());
+    const int serverFd = serverEndOf(c.socketFd());
+    ASSERT_GE(serverFd, 0);
+    EXPECT_EQ(tcpNoDelay(serverFd), 1);
+    server.stop();
 }
 
 TEST_F(ServeFixture, StopWithBusyClientsShutsDownCleanly)

@@ -3,13 +3,16 @@
  * Tests for the dense linear-algebra substrate: GEMM against the
  * reference kernel for every transpose combination and shape class
  * (including the blocked+packed kernel, threading determinism and the
- * aligned allocator).
+ * aligned allocator), and the skinny kernels bitwise against their
+ * scalar oracle.
  */
 #include <cstdint>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "support/gemm_oracle.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
 
@@ -182,27 +185,113 @@ TEST(Gemm, BlockedMatchesReferenceOnLargeShapes)
     }
 }
 
+/** True when @p x and @p y hold the same bits in every element. */
+bool
+bitwiseEqual(const Matrix &x, const Matrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols()
+           && std::memcmp(x.data(), y.data(), x.size() * sizeof(float))
+                  == 0;
+}
+
 /**
- * Rows of a batched product must be bitwise identical to the same row
- * evaluated alone — the invariant the Phase-2 batched driver's
- * per-sample equivalence rests on (dispatch depends only on (k, n)).
+ * Below the blocked threshold (k*n < 4096) gemm runs the vectorized
+ * skinny kernels, which must reproduce the scalar loops of gemmNaive
+ * bit for bit: every transpose form, alpha/beta, row count (full and
+ * partial row tiles, one-row calls) and column count (full and partial
+ * vector chunks). The (k, n) list holds the surrogate's input/output
+ * layer shapes (forward and input gradient) plus odd edge shapes.
+ */
+TEST(Gemm, SkinnyKernelsEqualScalarOracleBitwise)
+{
+    const std::vector<std::pair<size_t, size_t>> shapes = {
+        {63, 64}, {41, 64}, {64, 12}, {64, 15}, {64, 63}, {64, 41},
+        {12, 64}, {15, 64}, {1, 1},   {5, 7},   {33, 29}, {2, 2047}};
+    const std::vector<size_t> rows = {1, 2, 3, 4, 5, 7, 8, 9, 17, 128};
+    Rng rng(4096);
+    for (auto [k, n] : shapes) {
+        ASSERT_LT(k * n, 4096u) << "not a skinny shape";
+        for (size_t m : rows) {
+            for (int form = 0; form < 4; ++form) {
+                const bool ta = (form & 1) != 0, tb = (form & 2) != 0;
+                Matrix a = ta ? randomMatrix(k, m, rng)
+                              : randomMatrix(m, k, rng);
+                Matrix b = tb ? randomMatrix(n, k, rng)
+                              : randomMatrix(k, n, rng);
+                const Matrix c0 = randomMatrix(m, n, rng);
+                for (float alpha : {1.0f, -1.5f}) {
+                    for (float beta : {0.0f, 1.0f, 0.5f}) {
+                        Matrix c = c0, expect = c0;
+                        gemm(ta, tb, alpha, a, b, beta, c);
+                        gemmNaive(ta, tb, alpha, a, b, beta, expect);
+                        EXPECT_TRUE(bitwiseEqual(c, expect))
+                            << "m=" << m << " k=" << k << " n=" << n
+                            << " ta=" << ta << " tb=" << tb
+                            << " alpha=" << alpha << " beta=" << beta;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Rows of a batched product must be bitwise identical to the same rows
+ * evaluated in any smaller batch — the invariant the Phase-2 batched
+ * driver's per-sample equivalence rests on. Covers the blocked kernel's
+ * full and partial row panels (1..17 rows against a 64-row batch) for
+ * the three forms training issues (forward NT, input-gradient NN,
+ * weight-gradient TN) at the surrogate's hidden-layer shapes.
  */
 TEST(Gemm, RowResultIndependentOfBatchSize)
 {
+    const size_t batch = 64;
+    const std::vector<std::pair<size_t, size_t>> layers = {
+        {64, 128}, {128, 128}, {128, 64}, {96, 80}};
     Rng rng(31);
-    const size_t k = 96, n = 80;
-    Matrix a = randomMatrix(64, k, rng);
-    Matrix b = randomMatrix(k, n, rng);
-    Matrix full(64, n);
-    gemm(false, false, 1.0f, a, b, 0.0f, full);
-    for (size_t r : {size_t(0), size_t(13), size_t(63)}) {
-        Matrix one(1, k);
-        std::copy(a.row(r).begin(), a.row(r).end(), one.row(0).begin());
-        Matrix cOne(1, n);
-        gemm(false, false, 1.0f, one, b, 0.0f, cOne);
-        for (size_t j = 0; j < n; ++j)
-            EXPECT_EQ(cOne(0, j), full(r, j)) << "r=" << r << " j=" << j;
+    for (auto [in, out] : layers) {
+        for (auto [k, n] : {std::pair{in, out}, std::pair{out, in}}) {
+            for (int form = 0; form < 3; ++form) {
+                const bool ta = form == 2, tb = form == 1;
+                Matrix a = ta ? randomMatrix(k, batch, rng)
+                              : randomMatrix(batch, k, rng);
+                Matrix b = tb ? randomMatrix(n, k, rng)
+                              : randomMatrix(k, n, rng);
+                Matrix full(batch, n);
+                gemm(ta, tb, 1.0f, a, b, 0.0f, full);
+                for (size_t m = 1; m <= 17; ++m) {
+                    const size_t r0 = (m * 7) % (batch - m + 1);
+                    Matrix part = ta ? Matrix(k, m) : Matrix(m, k);
+                    for (size_t i = 0; i < m; ++i)
+                        for (size_t p = 0; p < k; ++p) {
+                            if (ta)
+                                part(p, i) = a(p, r0 + i);
+                            else
+                                part(i, p) = a(r0 + i, p);
+                        }
+                    Matrix c(m, n);
+                    gemm(ta, tb, 1.0f, part, b, 0.0f, c);
+                    bool same = true;
+                    for (size_t i = 0; i < m; ++i)
+                        same = same
+                               && std::memcmp(c.row(i).data(),
+                                              full.row(r0 + i).data(),
+                                              n * sizeof(float))
+                                      == 0;
+                    EXPECT_TRUE(same) << "m=" << m << " k=" << k
+                                      << " n=" << n << " ta=" << ta
+                                      << " tb=" << tb << " r0=" << r0;
+                }
+            }
+        }
     }
+}
+
+TEST(Gemm, KernelNameNamesTheDispatchedVariant)
+{
+    const std::string name = gemmKernelName();
+    EXPECT_TRUE(name == "avx512" || name == "avx2" || name == "portable")
+        << name;
 }
 
 /** Threaded GEMM must be bitwise identical at any lane count. */
