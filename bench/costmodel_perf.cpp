@@ -156,7 +156,7 @@ main()
             double nsPerMap = sec / double(n) * 1e9;
             double speedup = refSec > 0.0 ? refSec / sec : 1.0;
             table.addRow({problem.name, v.name, strCat(v.threads),
-                          fmtDouble(nsPerMap, 1), fmtDouble(speedup, 3)});
+                          fmtFixed(nsPerMap, 1), fmtDouble(speedup, 3)});
             JsonObject point;
             point.set("shape", problem.name)
                 .set("variant", v.name)
@@ -167,7 +167,7 @@ main()
             series.add(point);
             std::cerr << "[costmodel] " << problem.name << " " << v.name
                       << " t=" << v.threads << " "
-                      << fmtDouble(nsPerMap, 1) << " ns/mapping"
+                      << fmtFixed(nsPerMap, 1) << " ns/mapping"
                       << std::endl;
         }
     }

@@ -7,15 +7,19 @@
  * and paper-preset hidden widths, and every GEMM a training step of the
  * Fast-preset CNN surrogate (62-64-128-128-64-12) issues — forward,
  * weight gradient and input gradient of all five layers — at batch 128
- * and at one row (the Phase-2 single-sample query). Verifies every
- * kernel against gemmReference, records which ISA variant ran, and
- * writes BENCH_gemm.json.
+ * and at one row (the Phase-2 single-sample query). The one-row shapes
+ * are also timed with op(B) pre-packed (PackedB, kernel "gemm_packed"),
+ * as a frozen surrogate runs them: the gap to "gemm" is the per-call
+ * packing. Verifies every kernel against gemmReference (the packed one
+ * bitwise against "gemm"), records which ISA variant ran, and writes
+ * BENCH_gemm.json.
  *
  * Knobs: MM_GEMM_SECS (target seconds per measurement, default 0.25),
  * MM_THREADS (lanes for the threaded rows, 0 = hardware concurrency).
  */
 #include <iostream>
 #include <limits>
+#include <optional>
 
 #include "bench/bench_util.hpp"
 #include "common/clock.hpp"
@@ -44,6 +48,7 @@ struct Shape
     bool transA = false, transB = false;
     float beta = 0.0f;
     bool threaded = false; ///< also time the pool-threaded call
+    bool packed = false;   ///< also time with op(B) pre-packed
 };
 
 /**
@@ -56,9 +61,13 @@ addLayerShapes(std::vector<Shape> &shapes, const std::string &layer,
                size_t in, size_t out, size_t rows)
 {
     const std::string tag = strCat(layer, "_b", rows);
-    shapes.push_back({tag + "_fwd", rows, in, out, false, true});
-    shapes.push_back({tag + "_dw", out, rows, in, true, false, 1.0f});
-    shapes.push_back({tag + "_dx", rows, out, in});
+    const bool packed = rows == 1;
+    shapes.push_back({tag + "_fwd", rows, in, out, false, true, 0.0f,
+                      false, packed});
+    shapes.push_back({tag + "_dw", out, rows, in, true, false, 1.0f, false,
+                      packed});
+    shapes.push_back({tag + "_dx", rows, out, in, false, false, 0.0f,
+                      false, packed});
 }
 
 using GemmFn = std::function<void(const Matrix &, const Matrix &, Matrix &)>;
@@ -137,6 +146,14 @@ main()
         double err = maxAbsDiff(c, ref);
         MM_ASSERT(err < 1e-2 * double(s.k),
                   strCat("gemm mismatch on ", s.name));
+        std::optional<PackedB> packed;
+        if (s.packed) {
+            packed.emplace(b, tb);
+            Matrix cp(s.m, s.n);
+            gemm(ta, tb, 1.0f, a, b, &*packed, 0.0f, cp);
+            MM_ASSERT(maxAbsDiff(cp, c) == 0.0,
+                      strCat("packed gemm differs on ", s.name));
+        }
 
         struct Variant
         {
@@ -154,6 +171,14 @@ main()
                  gemm(ta, tb, 1.0f, a_, b_, beta, c_);
              }},
         };
+        if (s.packed)
+            variants.push_back(
+                {"gemm_packed", 1,
+                 [pb = &*packed, ta, tb, beta](const Matrix &a_,
+                                               const Matrix &b_,
+                                               Matrix &c_) {
+                     gemm(ta, tb, 1.0f, a_, b_, pb, beta, c_);
+                 }});
         if (s.threaded && lanes > 1)
             variants.push_back(
                 {"gemm", int(lanes),

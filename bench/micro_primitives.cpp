@@ -93,8 +93,10 @@ BENCHMARK(BM_NeighborMove);
 void
 BM_SurrogateGradientStep(benchmark::State &state)
 {
-    // One Phase-2 step: forward + backward through the fast-preset-
-    // shaped surrogate (untrained weights; identical FLOPs).
+    // One Phase-2 step as Surrogate::gradientBatch runs it: forward +
+    // input gradient through the frozen (pre-packed) fast-preset-shaped
+    // surrogate (untrained weights; identical FLOPs). The packing in
+    // freeze() happens once per trained surrogate, outside the loop.
     auto &fx = fixture();
     Rng rng(3);
     Phase1Config cfg;
@@ -102,12 +104,13 @@ BM_SurrogateGradientStep(benchmark::State &state)
     Mlp net(fx.codec.featureCount(),
             surrogateTopology(cfg.hidden, CostResult::metaStatCount(3)),
             rng);
+    net.freeze();
     Matrix x(1, fx.codec.featureCount());
     Matrix dOut(1, CostResult::metaStatCount(3));
     dOut.fill(0.1f);
     for (auto _ : state) {
         benchmark::DoNotOptimize(net.forward(x));
-        benchmark::DoNotOptimize(net.backward(dOut));
+        benchmark::DoNotOptimize(net.inputGradient(dOut));
     }
 }
 BENCHMARK(BM_SurrogateGradientStep);

@@ -30,4 +30,12 @@ fmtDouble(double value, int digits)
     return oss.str();
 }
 
+std::string
+fmtFixed(double value, int decimals)
+{
+    std::ostringstream oss;
+    oss << std::fixed << std::setprecision(decimals) << value;
+    return oss.str();
+}
+
 } // namespace mm

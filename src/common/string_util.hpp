@@ -44,4 +44,7 @@ std::vector<std::string> split(const std::string &text, char sep);
 /** Format a double with @p digits significant digits. */
 std::string fmtDouble(double value, int digits = 4);
 
+/** Format a double in fixed point with @p decimals decimal places. */
+std::string fmtFixed(double value, int decimals);
+
 } // namespace mm

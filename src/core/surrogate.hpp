@@ -33,6 +33,10 @@ class Surrogate
 {
   public:
     /**
+     * Freezes @p net (Mlp::freeze): Phase 2 runs its forward and
+     * input-gradient GEMMs on weights packed once here, and copies of
+     * the surrogate share the packs.
+     *
      * @param net         Trained MLP (moved in).
      * @param transform   Feature conditioning used during training.
      * @param inputNorm   Feature z-scorer fitted on the training set.
@@ -77,7 +81,8 @@ class Surrogate
 
     /**
      * Batched gradient of log(predicted normalized EDP): one row per
-     * candidate, one MLP forward/backward for the whole batch. Fills
+     * candidate, one MLP forward and input-gradient pass (no weight
+     * gradients) for the whole batch. Fills
      * @p predsOut with each row's predicted normalized EDP and returns
      * the per-row input gradients as a reference to an internal
      * workspace, valid until the next surrogate call.
@@ -98,7 +103,11 @@ class Surrogate
      */
     void setParallel(ParallelContext *ctx) { mlp.setParallel(ctx); }
 
-    Mlp &net() { return mlp; }
+    /**
+     * The frozen network. Read-only: a writable view could change the
+     * weights under their packs. Copy it to train or time it.
+     */
+    const Mlp &net() const { return mlp; }
     const Normalizer &inputNormalizer() const { return inputNorm; }
     const Normalizer &outputNormalizer() const { return outputNorm; }
     const FeatureTransform &featureTransform() const { return transform; }

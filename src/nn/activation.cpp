@@ -58,6 +58,46 @@ assertKnownActivation(Activation act)
               "unknown activation");
 }
 
+/** applyActivationGradBias, with or without the dBias reduction. */
+template <bool Bias>
+void
+activationGradRows(Activation act, const Matrix &out, const Matrix &dOut,
+                   Matrix &grad, float *db)
+{
+    const size_t cols = out.cols();
+    for (size_t r = 0; r < out.rows(); ++r) {
+        const float *o = out.data() + r * cols;
+        const float *d = dOut.data() + r * cols;
+        float *g = grad.data() + r * cols;
+        switch (act) {
+          case Activation::Identity:
+            for (size_t c = 0; c < cols; ++c) {
+                g[c] = d[c];
+                if constexpr (Bias)
+                    db[c] += g[c];
+            }
+            break;
+          case Activation::ReLU:
+            // d[c] is loaded unconditionally: a load under the branch
+            // keeps the loop from vectorizing.
+            for (size_t c = 0; c < cols; ++c) {
+                const float dc = d[c];
+                g[c] = o[c] > 0.0f ? dc : 0.0f;
+                if constexpr (Bias)
+                    db[c] += g[c];
+            }
+            break;
+          case Activation::Tanh:
+            for (size_t c = 0; c < cols; ++c) {
+                g[c] = d[c] * (1.0f - o[c] * o[c]);
+                if constexpr (Bias)
+                    db[c] += g[c];
+            }
+            break;
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -91,44 +131,19 @@ applyBiasActivation(Activation act, const Matrix &bias, Matrix &m)
 
 void
 applyActivationGradBias(Activation act, const Matrix &out,
-                        const Matrix &dOut, Matrix &grad, Matrix &dBias)
+                        const Matrix &dOut, Matrix &grad, Matrix *dBias)
 {
     assertKnownActivation(act);
     MM_ASSERT(out.rows() == dOut.rows() && out.cols() == dOut.cols(),
               "activation grad shape mismatch");
-    MM_ASSERT(dBias.rows() == 1 && dBias.cols() == out.cols(),
-              "bias grad shape mismatch");
     grad.ensureShape(dOut.rows(), dOut.cols());
-    const size_t cols = out.cols();
-    float *db = dBias.data();
-    for (size_t r = 0; r < out.rows(); ++r) {
-        const float *o = out.data() + r * cols;
-        const float *d = dOut.data() + r * cols;
-        float *g = grad.data() + r * cols;
-        switch (act) {
-          case Activation::Identity:
-            for (size_t c = 0; c < cols; ++c) {
-                g[c] = d[c];
-                db[c] += g[c];
-            }
-            break;
-          case Activation::ReLU:
-            // d[c] is loaded unconditionally: a load under the branch
-            // keeps the loop from vectorizing.
-            for (size_t c = 0; c < cols; ++c) {
-                const float dc = d[c];
-                g[c] = o[c] > 0.0f ? dc : 0.0f;
-                db[c] += g[c];
-            }
-            break;
-          case Activation::Tanh:
-            for (size_t c = 0; c < cols; ++c) {
-                g[c] = d[c] * (1.0f - o[c] * o[c]);
-                db[c] += g[c];
-            }
-            break;
-        }
+    if (dBias == nullptr) {
+        activationGradRows<false>(act, out, dOut, grad, nullptr);
+        return;
     }
+    MM_ASSERT(dBias->rows() == 1 && dBias->cols() == out.cols(),
+              "bias grad shape mismatch");
+    activationGradRows<true>(act, out, dOut, grad, dBias->data());
 }
 
 const char *

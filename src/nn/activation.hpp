@@ -37,11 +37,13 @@ void applyBiasActivation(Activation act, const Matrix &bias, Matrix &m);
  * and dBias[0][c] += grad[r][c], in a single pass (replaces a copy, an
  * activation-grad pass and a bias-reduction pass). @p grad is reshaped
  * to match @p dOut; rows are accumulated into @p dBias in row order, so
- * results are bitwise identical to the unfused sequence.
+ * results are bitwise identical to the unfused sequence. With @p dBias
+ * null only grad is formed (an input-gradient-only backward), bitwise
+ * as with a bias.
  */
 void applyActivationGradBias(Activation act, const Matrix &out,
                              const Matrix &dOut, Matrix &grad,
-                             Matrix &dBias);
+                             Matrix *dBias);
 
 /** Human-readable name (serialization and diagnostics). */
 const char *activationName(Activation act);

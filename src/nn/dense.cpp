@@ -26,7 +26,8 @@ DenseLayer::forward(const Matrix &x)
     MM_ASSERT(x.cols() == inDim(), "dense input width mismatch");
     cachedIn = x;
     cachedOut.ensureShape(x.rows(), outDim());
-    gemm(false, true, 1.0f, x, weights, 0.0f, cachedOut, gemmPool);
+    gemm(false, true, 1.0f, x, weights, packedFwd.get(), 0.0f, cachedOut,
+         gemmPool);
     applyBiasActivation(act, bias, cachedOut);
     return cachedOut;
 }
@@ -46,7 +47,7 @@ DenseLayer::backwardParams(const Matrix &dOut)
                   && dOut.cols() == cachedOut.cols(),
               "dense backward shape mismatch");
     // dZ = dOut * act'(out) and dB += column-sum(dZ), one fused pass.
-    applyActivationGradBias(act, cachedOut, dOut, scratch, dBias);
+    applyActivationGradBias(act, cachedOut, dOut, scratch, &dBias);
 
     // dW += dZ^T * x
     gemm(true, false, 1.0f, scratch, cachedIn, 1.0f, dWeights, gemmPool);
@@ -56,10 +57,40 @@ void
 DenseLayer::backwardInto(const Matrix &dOut, Matrix &dIn)
 {
     backwardParams(dOut);
+    inputGradGemm(dIn);
+}
 
+void
+DenseLayer::inputGradientInto(const Matrix &dOut, Matrix &dIn)
+{
+    MM_ASSERT(dOut.rows() == cachedOut.rows()
+                  && dOut.cols() == cachedOut.cols(),
+              "dense backward shape mismatch");
+    applyActivationGradBias(act, cachedOut, dOut, scratch, nullptr);
+    inputGradGemm(dIn);
+}
+
+void
+DenseLayer::inputGradGemm(Matrix &dIn)
+{
     // dX = dZ * W
     dIn.ensureShape(scratch.rows(), inDim());
-    gemm(false, false, 1.0f, scratch, weights, 0.0f, dIn, gemmPool);
+    gemm(false, false, 1.0f, scratch, weights, packedDx.get(), 0.0f, dIn,
+         gemmPool);
+}
+
+void
+DenseLayer::freeze()
+{
+    packedFwd = std::make_shared<const PackedB>(weights, true);
+    packedDx = std::make_shared<const PackedB>(weights, false);
+}
+
+void
+DenseLayer::thaw()
+{
+    packedFwd.reset();
+    packedDx.reset();
 }
 
 void

@@ -4,12 +4,15 @@
  */
 #pragma once
 
+#include <memory>
+
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
 #include "tensor/matrix.hpp"
 
 namespace mm {
 
+class PackedB;
 class ThreadPool;
 
 /**
@@ -19,6 +22,7 @@ class ThreadPool;
  * during forward so backward can form weight gradients and the input
  * gradient (the latter is what makes the surrogate differentiable with
  * respect to candidate mappings, the core mechanism of the paper).
+ * A frozen layer (freeze()) keeps W pre-packed for its GEMMs.
  */
 class DenseLayer
 {
@@ -50,6 +54,26 @@ class DenseLayer
      */
     void backwardParams(const Matrix &dOut);
 
+    /**
+     * Input-gradient-only backward: writes dL/dx into @p dIn bitwise as
+     * backwardInto does, without touching dW or dB. @p dIn must not
+     * alias @p dOut.
+     */
+    void inputGradientInto(const Matrix &dOut, Matrix &dIn);
+
+    /**
+     * Pack W once for the forward and input-gradient GEMMs (see
+     * PackedB); results stay bitwise those of the unpacked layer.
+     * Copies share the packs. Writing weights afterwards requires
+     * thaw() first, or the packs go stale.
+     */
+    void freeze();
+
+    /** Drop the packs (the next GEMMs pack W per call again). */
+    void thaw();
+
+    bool frozen() const { return packedFwd != nullptr; }
+
     /** Clear accumulated gradients. */
     void zeroGrad();
 
@@ -69,8 +93,13 @@ class DenseLayer
     Matrix dBias;
 
   private:
+    /** dL/dx = dZ * W from the pre-activation gradient in scratch. */
+    void inputGradGemm(Matrix &dIn);
+
     Activation act;
     ThreadPool *gemmPool = nullptr; ///< not owned; nullptr = serial
+    std::shared_ptr<const PackedB> packedFwd; ///< W for x * W^T
+    std::shared_ptr<const PackedB> packedDx;  ///< W for dZ * W
     Matrix cachedIn;
     Matrix cachedOut;
     Matrix scratch; ///< pre-activation gradient workspace

@@ -83,32 +83,56 @@ Mlp::backward(const Matrix &dOut)
 const Matrix &
 Mlp::backwardInPlace(const Matrix &dOut)
 {
-    return *backwardLayers(dOut, true);
+    return *backwardLayers(dOut, true, true);
 }
 
 void
 Mlp::backwardParams(const Matrix &dOut)
 {
-    backwardLayers(dOut, false);
+    backwardLayers(dOut, true, false);
+}
+
+const Matrix &
+Mlp::inputGradient(const Matrix &dOut)
+{
+    return *backwardLayers(dOut, false, true);
 }
 
 const Matrix *
-Mlp::backwardLayers(const Matrix &dOut, bool inputGrad)
+Mlp::backwardLayers(const Matrix &dOut, bool weightGrads, bool inputGrad)
 {
     // Alternate between the two workspaces so no layer reads and writes
     // the same buffer.
     const Matrix *grad = &dOut;
     Matrix *next = &gradPing;
     for (size_t i = layers.size(); i > 0; --i) {
-        if (i == 1 && !inputGrad) {
-            layers.front().backwardParams(*grad);
+        DenseLayer &layer = layers[i - 1];
+        if (!weightGrads) {
+            layer.inputGradientInto(*grad, *next);
+        } else if (i == 1 && !inputGrad) {
+            layer.backwardParams(*grad);
             return nullptr;
+        } else {
+            layer.backwardInto(*grad, *next);
         }
-        layers[i - 1].backwardInto(*grad, *next);
         grad = next;
         next = next == &gradPing ? &gradPong : &gradPing;
     }
     return grad;
+}
+
+void
+Mlp::freeze()
+{
+    for (auto &layer : layers)
+        layer.freeze();
+}
+
+void
+Mlp::thaw()
+{
+    for (auto &layer : layers)
+        layer.thaw();
 }
 
 void
@@ -129,6 +153,7 @@ Mlp::setParallel(ParallelContext *ctx)
 std::vector<Matrix *>
 Mlp::params()
 {
+    thaw();
     std::vector<Matrix *> out;
     for (auto &layer : layers) {
         out.push_back(&layer.weights);
@@ -161,6 +186,7 @@ void
 Mlp::softUpdateFrom(const Mlp &src, float tau)
 {
     MM_ASSERT(layers.size() == src.layers.size(), "topology mismatch");
+    thaw();
     for (size_t i = 0; i < layers.size(); ++i) {
         auto blend = [tau](Matrix &dst, const Matrix &s) {
             MM_ASSERT(dst.size() == s.size(), "topology mismatch");

@@ -6,7 +6,9 @@
  * surrogate cost model (Section 4.1) and as the actor/critic networks of
  * the DDPG baseline (Appendix A). Besides the usual weight gradients,
  * backward() returns the gradient with respect to the *input* — the
- * quantity Phase 2 descends on.
+ * quantity Phase 2 descends on. inputGradient() forms only that, and a
+ * frozen network (freeze()) reads its weights pre-packed: the inference
+ * path of the trained surrogate.
  */
 #pragma once
 
@@ -56,6 +58,25 @@ class Mlp
      */
     void backwardParams(const Matrix &dOut);
 
+    /**
+     * dL/d(input) only, bitwise as backwardInPlace returns it, with no
+     * weight-gradient GEMM and no dW/dB accumulation. Same workspace
+     * and lifetime as backwardInPlace. Must follow a forward() on the
+     * same batch.
+     */
+    const Matrix &inputGradient(const Matrix &dOut);
+
+    /**
+     * Pack every layer's weights once for the forward and
+     * input-gradient GEMMs (bitwise the unpacked results). Eager, so
+     * copies made afterwards share the packs and never pack. params(),
+     * softUpdateFrom and copyParamsFrom drop the packs, since they hand
+     * out or write the weights.
+     */
+    void freeze();
+
+    bool frozen() const { return layers.front().frozen(); }
+
     /** Clear all accumulated gradients. */
     void zeroGrad();
 
@@ -67,7 +88,10 @@ class Mlp
      */
     void setParallel(ParallelContext *ctx);
 
-    /** Mutable views of every parameter / gradient matrix, in order. */
+    /**
+     * Mutable views of every parameter / gradient matrix, in order.
+     * params() unfreezes the network (the caller may write weights).
+     */
     std::vector<Matrix *> params();
     std::vector<Matrix *> grads();
 
@@ -93,11 +117,16 @@ class Mlp
 
   private:
     /**
-     * Backward through every layer. Returns dL/d(input), owned by a
-     * workspace, when @p inputGrad; otherwise skips the first layer's
-     * dL/dx GEMM and returns nullptr.
+     * Backward through every layer. Accumulates weight gradients when
+     * @p weightGrads. Returns dL/d(input), owned by a workspace, when
+     * @p inputGrad; otherwise skips the first layer's dL/dx GEMM and
+     * returns nullptr.
      */
-    const Matrix *backwardLayers(const Matrix &dOut, bool inputGrad);
+    const Matrix *backwardLayers(const Matrix &dOut, bool weightGrads,
+                                 bool inputGrad);
+
+    /** Drop every layer's weight packs. */
+    void thaw();
 
     size_t inDim;
     std::vector<DenseLayer> layers;

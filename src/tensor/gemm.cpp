@@ -197,27 +197,54 @@ macroKernel(const float *ap, const float *bp, size_t kc, Matrix &c,
     }
 }
 
+/** Width of the KC x NC block of op(B) at column jc, padded to NR. */
+template <size_t NR>
+constexpr size_t
+paddedBlockWidth(size_t n, size_t jc)
+{
+    return (std::min(NC, n - jc) + NR - 1) / NR * NR;
+}
+
+/**
+ * Offset of block (jc, pc) in a PackedB of the blocked family: every
+ * column block before jc is a full NC wide and k deep, and the blocks
+ * of column block jc before pc are KC deep.
+ */
+template <size_t NR>
+constexpr size_t
+packedBlockOffset(size_t k, size_t n, size_t jc, size_t pc)
+{
+    return jc * k + pc * paddedBlockWidth<NR>(n, jc);
+}
+
 /**
  * Blocked GEMM over C rows [rowBegin, rowEnd); beta already applied.
  * The k partition and per-element accumulation order are row-range
  * independent, so any row split yields bitwise-identical results.
+ * op(B)'s panels come from @p packed (a PackedB's data) when given.
  */
 template <size_t MR, typename V, size_t NV>
 MM_GEMM_INLINE void
 blockedRowsImpl(bool transA, bool transB, float alpha, const Matrix &a,
-                const Matrix &b, Matrix &c, size_t rowBegin, size_t rowEnd,
-                size_t k, size_t n)
+                const Matrix &b, const float *packed, Matrix &c,
+                size_t rowBegin, size_t rowEnd, size_t k, size_t n)
 {
     constexpr size_t NR = NV * kLanes<V>;
     static_assert(MC % MR == 0 && NC % NR == 0, "blocking mismatch");
     PackBuffers &ws = packBuffers();
     for (size_t jc = 0; jc < n; jc += NC) {
         const size_t nc = std::min(NC, n - jc);
-        const size_t nPad = (nc + NR - 1) / NR * NR;
+        const size_t nPad = paddedBlockWidth<NR>(n, jc);
         for (size_t pc = 0; pc < k; pc += KC) {
             const size_t kc = std::min(KC, k - pc);
-            float *bp = packScratch(ws.b, kc * nPad);
-            packB<NR>(b, transB, pc, kc, jc, nc, bp);
+            const float *bp;
+            if (packed != nullptr) {
+                bp = packed + packedBlockOffset<NR>(k, n, jc, pc);
+            } else {
+                float *scratch = packScratch(ws.b, kc * nPad);
+                packB<NR>(b, transB, pc, kc, jc, nc, scratch);
+                bp = scratch;
+            }
             for (size_t ic = rowBegin; ic < rowEnd; ic += MC) {
                 const size_t mc = std::min(MC, rowEnd - ic);
                 const size_t mPad = (mc + MR - 1) / MR * MR;
@@ -230,8 +257,8 @@ blockedRowsImpl(bool transA, bool transB, float alpha, const Matrix &a,
 }
 
 using BlockedRowsFn = void (*)(bool, bool, float, const Matrix &,
-                               const Matrix &, Matrix &, size_t, size_t,
-                               size_t, size_t);
+                               const Matrix &, const float *, Matrix &,
+                               size_t, size_t, size_t, size_t);
 
 // AVX-512 runs an 8 x 32 tile (16 zmm accumulators); AVX2 and the
 // portable build keep 4 x 16 (eight ymm / sixteen xmm halves). With
@@ -239,30 +266,30 @@ using BlockedRowsFn = void (*)(bool, bool, float, const Matrix &,
 #if MM_GEMM_MULTIVERSION
 MM_GEMM_TARGET_AVX512 void
 blockedRowsAvx512(bool transA, bool transB, float alpha, const Matrix &a,
-                  const Matrix &b, Matrix &c, size_t rowBegin,
-                  size_t rowEnd, size_t k, size_t n)
+                  const Matrix &b, const float *packed, Matrix &c,
+                  size_t rowBegin, size_t rowEnd, size_t k, size_t n)
 {
-    blockedRowsImpl<8, Vec16f, 2>(transA, transB, alpha, a, b, c, rowBegin,
-                                  rowEnd, k, n);
+    blockedRowsImpl<8, Vec16f, 2>(transA, transB, alpha, a, b, packed, c,
+                                  rowBegin, rowEnd, k, n);
 }
 
 MM_GEMM_TARGET_AVX2 void
 blockedRowsAvx2(bool transA, bool transB, float alpha, const Matrix &a,
-                const Matrix &b, Matrix &c, size_t rowBegin, size_t rowEnd,
-                size_t k, size_t n)
+                const Matrix &b, const float *packed, Matrix &c,
+                size_t rowBegin, size_t rowEnd, size_t k, size_t n)
 {
-    blockedRowsImpl<4, Vec8f, 2>(transA, transB, alpha, a, b, c, rowBegin,
-                                 rowEnd, k, n);
+    blockedRowsImpl<4, Vec8f, 2>(transA, transB, alpha, a, b, packed, c,
+                                 rowBegin, rowEnd, k, n);
 }
 #endif
 
 void
 blockedRowsPortable(bool transA, bool transB, float alpha, const Matrix &a,
-                    const Matrix &b, Matrix &c, size_t rowBegin,
-                    size_t rowEnd, size_t k, size_t n)
+                    const Matrix &b, const float *packed, Matrix &c,
+                    size_t rowBegin, size_t rowEnd, size_t k, size_t n)
 {
-    blockedRowsImpl<4, Vec8f, 2>(transA, transB, alpha, a, b, c, rowBegin,
-                                 rowEnd, k, n);
+    blockedRowsImpl<4, Vec8f, 2>(transA, transB, alpha, a, b, packed, c,
+                                 rowBegin, rowEnd, k, n);
 }
 
 /** The kernels this CPU runs, chosen once. */
@@ -313,13 +340,57 @@ prologue(bool transA, bool transB, const Matrix &a, const Matrix &b,
     return {m, ka, n};
 }
 
+/** Every blocked-family block of op(B), laid out as packedBlockOffset. */
+template <size_t NR>
+void
+packBlocked(const Matrix &b, bool transB, size_t k, size_t n,
+            AlignedFloatBuffer &out)
+{
+    out.resize(packedBlockOffset<NR>(k, n, n / NC * NC, k));
+    for (size_t jc = 0; jc < n; jc += NC)
+        for (size_t pc = 0; pc < k; pc += KC)
+            packB<NR>(b, transB, pc, std::min(KC, k - pc), jc,
+                      std::min(NC, n - jc),
+                      out.data() + packedBlockOffset<NR>(k, n, jc, pc));
+}
+
 } // namespace
+
+PackedB::PackedB(const Matrix &b, bool transB)
+    : k_(transB ? b.cols() : b.rows()), n_(transB ? b.rows() : b.cols()),
+      transB_(transB)
+{
+    const Kernels &kern = kernels();
+    if (k_ * n_ < kBlockedMinKN) {
+        packSkinnyB(kern.isa, transB, b, buf);
+        return;
+    }
+    // NR of blockedRowsAvx512 (8 x 32) and of the 4 x 16 variants.
+    if (kern.isa == GemmIsa::Avx512)
+        packBlocked<2 * kLanes<Vec16f>>(b, transB, k_, n_, buf);
+    else
+        packBlocked<2 * kLanes<Vec8f>>(b, transB, k_, n_, buf);
+}
 
 void
 gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
      float beta, Matrix &c, ThreadPool *pool)
 {
+    gemm(transA, transB, alpha, a, b, nullptr, beta, c, pool);
+}
+
+void
+gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
+     const PackedB *packedB, float beta, Matrix &c, ThreadPool *pool)
+{
     auto [m, k, n] = prologue(transA, transB, a, b, beta, c);
+    const float *packed = nullptr;
+    if (packedB != nullptr) {
+        MM_ASSERT(packedB->transposed() == transB && packedB->depth() == k
+                      && packedB->width() == n,
+                  "packed B operand does not match gemm's op(B)");
+        packed = packedB->data();
+    }
     if (m == 0 || n == 0 || k == 0 || alpha == 0.0f)
         return;
 
@@ -327,7 +398,7 @@ gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
     // take the same kernel so their arithmetic is identical.
     const Kernels &kern = kernels();
     if (k * n < kBlockedMinKN) {
-        skinnyGemm(kern.isa, transA, transB, alpha, a, b, c);
+        skinnyGemm(kern.isa, transA, transB, alpha, a, b, packed, c);
         return;
     }
 
@@ -337,7 +408,7 @@ gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
         chunks = std::max<size_t>(1, std::min(pool->lanes(), m / MC));
 
     if (chunks <= 1) {
-        kern.blockedRows(transA, transB, alpha, a, b, c, 0, m, k, n);
+        kern.blockedRows(transA, transB, alpha, a, b, packed, c, 0, m, k, n);
         return;
     }
 
@@ -350,8 +421,8 @@ gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
         const size_t r0 = b0 * MC;
         const size_t r1 = std::min(mm_, b1 * MC);
         if (r0 < r1)
-            kern.blockedRows(transA, transB, alpha, a, b, c, r0, r1, k_,
-                             n_);
+            kern.blockedRows(transA, transB, alpha, a, b, packed, c, r0,
+                             r1, k_, n_);
     });
 }
 

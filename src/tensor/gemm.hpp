@@ -24,6 +24,12 @@
  * surrogate equivalence the Phase-2 driver relies on). Threading
  * partitions C by disjoint row ranges, so results are bitwise identical
  * at any thread count.
+ *
+ * A B operand that does not change between calls (a frozen network's
+ * weights) can be laid out once as a PackedB: exactly the panels the
+ * dispatched family would otherwise build on every call. gemm() then
+ * reads them instead of packing, through the same micro-kernels, so
+ * the result is bitwise the one of the unpacked call.
  */
 #pragma once
 
@@ -32,6 +38,38 @@
 namespace mm {
 
 class ThreadPool;
+
+/**
+ * op(B) pre-packed for gemm(): an immutable snapshot of @p b's values in
+ * the panel layout of the kernel family gemm() dispatches its (k, n) to
+ * on this machine.
+ *
+ *  - k*n >= 4096 (blocked family): the NR-column micro-panels of every
+ *    KC x NC block of op(B); block (jc, pc) starts at jc * k + pc * nPad
+ *    floats, nPad being the block's width rounded up to NR.
+ *  - k*n < 4096 (skinny family): the zero-padded B^T panel of the dot
+ *    form (transB), or the update form's panel of the columns past the
+ *    last full vector chunk (the others are read from B in place).
+ *
+ * The pack does not track @p b: after b changes it must be rebuilt (or
+ * dropped) by its owner.
+ */
+class PackedB
+{
+  public:
+    PackedB(const Matrix &b, bool transB);
+
+    bool transposed() const { return transB_; }
+    size_t depth() const { return k_; } ///< rows of op(B)
+    size_t width() const { return n_; } ///< columns of op(B)
+    /** The packed panels; layout as described above. */
+    const float *data() const { return buf.data(); }
+
+  private:
+    size_t k_, n_;
+    bool transB_;
+    AlignedFloatBuffer buf;
+};
 
 /**
  * C = alpha * op(A) * op(B) + beta * C.
@@ -43,6 +81,17 @@ class ThreadPool;
  */
 void gemm(bool transA, bool transB, float alpha, const Matrix &a,
           const Matrix &b, float beta, Matrix &c,
+          ThreadPool *pool = nullptr);
+
+/**
+ * gemm() reading op(B)'s panels from @p packedB instead of packing them
+ * (nullptr: pack per call, as the overload above). @p packedB must have
+ * been built from @p b with the same transB and still hold b's values;
+ * the shape and transpose are checked. Bitwise equal to the unpacked
+ * call.
+ */
+void gemm(bool transA, bool transB, float alpha, const Matrix &a,
+          const Matrix &b, const PackedB *packedB, float beta, Matrix &c,
           ThreadPool *pool = nullptr);
 
 /**

@@ -148,9 +148,18 @@ enum class GemmIsa { Portable, Avx2, Avx512 };
  * C += alpha * op(A) * op(B) for k*n below the blocked threshold, with
  * beta already applied. Per element this is exactly the scalar loop
  * nest (see gemm_skinny.cpp), so the result is bitwise independent of
- * the ISA variant and of the row count.
+ * the ISA variant and of the row count. @p panel is op(B)'s panel as
+ * packSkinnyB builds it for @p isa, or nullptr to pack it per call.
  */
 void skinnyGemm(GemmIsa isa, bool transA, bool transB, float alpha,
-                const Matrix &a, const Matrix &b, Matrix &c);
+                const Matrix &a, const Matrix &b, const float *panel,
+                Matrix &c);
+
+/**
+ * The op(B) panel skinnyGemm of variant @p isa would pack for @p b on
+ * every call, into @p out (resized to fit).
+ */
+void packSkinnyB(GemmIsa isa, bool transB, const Matrix &b,
+                 AlignedFloatBuffer &out);
 
 } // namespace mm::gemm_detail

@@ -125,27 +125,28 @@ rowTiles(size_t rows, size_t k, const float *ap, const float *bp,
 }
 
 /**
- * C += alpha * op(A) * op(B) over R-row blocks and (CV * lanes)-column
- * chunks. op(B) rows are read in place where a chunk is full-width in
- * the update form; otherwise from a zero-padded panel of op(B) (the
- * dot form's B^T, or the update form's last partial chunk).
+ * Where op(B) (k x n) is read from at vector width W: columns
+ * [0, nDirect) straight from B (update form only), the rest from a
+ * panel of ldp floats per p, [nDirect, n) padded to whole vectors.
  */
-template <typename V, size_t R, bool Dot>
-MM_GEMM_INLINE void
-skinnyImpl(bool transA, float alpha, const Matrix &a, const Matrix &b,
-           Matrix &c)
+template <size_t W, bool Dot>
+struct PanelShape
 {
-    constexpr size_t W = kLanes<V>;
-    constexpr size_t NW = CV * W;
-    const size_t m = c.rows(), n = c.cols();
-    const size_t k = transA ? a.rows() : a.cols();
-    SkinnyBuffers &ws = skinnyBuffers();
+    size_t nDirect, ldp;
 
-    // Columns [0, nDirect) are read straight from B; the panel holds
-    // [nDirect, n) padded to whole vectors.
-    const size_t nDirect = Dot ? 0 : n / NW * NW;
-    const size_t ldp = (n - nDirect + W - 1) / W * W;
-    float *panel = packScratch(ws.b, k * ldp);
+    explicit PanelShape(size_t n)
+        : nDirect(Dot ? 0 : n / (CV * W) * (CV * W)),
+          ldp((n - nDirect + W - 1) / W * W)
+    {}
+};
+
+/** Fill the k x ldp panel of op(B): B^T (Dot) or B's tail columns. */
+template <size_t W, bool Dot>
+MM_GEMM_INLINE void
+packPanel(const Matrix &b, size_t k, size_t n, float *panel)
+{
+    const PanelShape<W, Dot> ps(n);
+    const size_t ldp = ps.ldp, nDirect = ps.nDirect;
     if constexpr (Dot) {
         transposeCopy(b.data(), k, n, k, panel, ldp);
         for (size_t p = 0; p < k; ++p)
@@ -158,6 +159,34 @@ skinnyImpl(bool transA, float alpha, const Matrix &a, const Matrix &b,
             std::copy(src, src + (n - nDirect), dst);
             std::fill(dst + (n - nDirect), dst + ldp, 0.0f);
         }
+    }
+}
+
+/**
+ * C += alpha * op(A) * op(B) over R-row blocks and (CV * lanes)-column
+ * chunks. op(B) rows are read in place where a chunk is full-width in
+ * the update form; otherwise from a zero-padded panel of op(B) (the
+ * dot form's B^T, or the update form's last partial chunk): @p packed
+ * when given, else packed here.
+ */
+template <typename V, size_t R, bool Dot>
+MM_GEMM_INLINE void
+skinnyImpl(bool transA, float alpha, const Matrix &a, const Matrix &b,
+           const float *packed, Matrix &c)
+{
+    constexpr size_t W = kLanes<V>;
+    constexpr size_t NW = CV * W;
+    const size_t m = c.rows(), n = c.cols();
+    const size_t k = transA ? a.rows() : a.cols();
+    SkinnyBuffers &ws = skinnyBuffers();
+
+    const PanelShape<W, Dot> ps(n);
+    const size_t nDirect = ps.nDirect, ldp = ps.ldp;
+    const float *panel = packed;
+    if (panel == nullptr) {
+        float *scratch = packScratch(ws.b, k * ldp);
+        packPanel<W, Dot>(b, k, n, scratch);
+        panel = scratch;
     }
 
     // A's rows for one block, packed [p][r] (alpha folded in for the
@@ -191,51 +220,83 @@ skinnyImpl(bool transA, float alpha, const Matrix &a, const Matrix &b,
 template <typename V, size_t R>
 MM_GEMM_INLINE void
 skinnyEntry(bool transA, bool transB, float alpha, const Matrix &a,
-            const Matrix &b, Matrix &c)
+            const Matrix &b, const float *panel, Matrix &c)
 {
     if (transB)
-        skinnyImpl<V, R, true>(transA, alpha, a, b, c);
+        skinnyImpl<V, R, true>(transA, alpha, a, b, panel, c);
     else
-        skinnyImpl<V, R, false>(transA, alpha, a, b, c);
+        skinnyImpl<V, R, false>(transA, alpha, a, b, panel, c);
 }
 
 #if MM_GEMM_MULTIVERSION
 MM_GEMM_TARGET_AVX512 void
 skinnyAvx512(bool transA, bool transB, float alpha, const Matrix &a,
-             const Matrix &b, Matrix &c)
+             const Matrix &b, const float *panel, Matrix &c)
 {
-    skinnyEntry<Vec16f, 8>(transA, transB, alpha, a, b, c);
+    skinnyEntry<Vec16f, 8>(transA, transB, alpha, a, b, panel, c);
 }
 
 MM_GEMM_TARGET_AVX2 void
 skinnyAvx2(bool transA, bool transB, float alpha, const Matrix &a,
-           const Matrix &b, Matrix &c)
+           const Matrix &b, const float *panel, Matrix &c)
 {
-    skinnyEntry<Vec8f, 4>(transA, transB, alpha, a, b, c);
+    skinnyEntry<Vec8f, 4>(transA, transB, alpha, a, b, panel, c);
 }
 #endif
 
 void
 skinnyPortable(bool transA, bool transB, float alpha, const Matrix &a,
-               const Matrix &b, Matrix &c)
+               const Matrix &b, const float *panel, Matrix &c)
 {
-    skinnyEntry<Vec4f, 4>(transA, transB, alpha, a, b, c);
+    skinnyEntry<Vec4f, 4>(transA, transB, alpha, a, b, panel, c);
+}
+
+/** packSkinnyB at vector width W. */
+template <size_t W>
+void
+packSkinnyWidth(bool transB, const Matrix &b, AlignedFloatBuffer &out)
+{
+    const size_t k = transB ? b.cols() : b.rows();
+    const size_t n = transB ? b.rows() : b.cols();
+    if (transB) {
+        out.resize(k * PanelShape<W, true>(n).ldp);
+        packPanel<W, true>(b, k, n, out.data());
+    } else {
+        out.resize(k * PanelShape<W, false>(n).ldp);
+        packPanel<W, false>(b, k, n, out.data());
+    }
 }
 
 } // namespace
 
 void
 skinnyGemm(GemmIsa isa, bool transA, bool transB, float alpha,
-           const Matrix &a, const Matrix &b, Matrix &c)
+           const Matrix &a, const Matrix &b, const float *panel, Matrix &c)
 {
 #if MM_GEMM_MULTIVERSION
     if (isa == GemmIsa::Avx512)
-        return skinnyAvx512(transA, transB, alpha, a, b, c);
+        return skinnyAvx512(transA, transB, alpha, a, b, panel, c);
     if (isa == GemmIsa::Avx2)
-        return skinnyAvx2(transA, transB, alpha, a, b, c);
+        return skinnyAvx2(transA, transB, alpha, a, b, panel, c);
 #endif
     (void)isa;
-    skinnyPortable(transA, transB, alpha, a, b, c);
+    skinnyPortable(transA, transB, alpha, a, b, panel, c);
+}
+
+void
+packSkinnyB(GemmIsa isa, bool transB, const Matrix &b,
+            AlignedFloatBuffer &out)
+{
+    // The vector widths of skinnyAvx512, skinnyAvx2 and skinnyPortable.
+    switch (isa) {
+      case GemmIsa::Avx512:
+        return packSkinnyWidth<kLanes<Vec16f>>(transB, b, out);
+      case GemmIsa::Avx2:
+        return packSkinnyWidth<kLanes<Vec8f>>(transB, b, out);
+      case GemmIsa::Portable:
+        break;
+    }
+    packSkinnyWidth<kLanes<Vec4f>>(transB, b, out);
 }
 
 } // namespace mm::gemm_detail

@@ -1,8 +1,9 @@
 /**
  * @file
  * Neural-network library tests: finite-difference gradient checks for
- * weights and inputs, loss values/gradients, optimizers, the trainer
- * loop, and serialization.
+ * weights and inputs, frozen (pre-packed) inference bitwise against the
+ * unfrozen path, loss values/gradients, optimizers, the trainer loop,
+ * and serialization.
  */
 #include <gtest/gtest.h>
 
@@ -141,6 +142,113 @@ TEST(Mlp, ParamsOnlyBackwardEqualsFullBackwardBitwise)
             paramsOnly.zeroGrad();
         }
     }
+}
+
+/** True when @p x and @p y hold the same bits in every element. */
+bool
+bitwiseEqual(const Matrix &x, const Matrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols()
+           && std::memcmp(x.data(), y.data(), x.size() * sizeof(float))
+                  == 0;
+}
+
+/** The Fast-preset CNN surrogate's shape, with every activation. */
+Mlp
+surrogateShapedNet(Rng &rng)
+{
+    return Mlp(62,
+               {{64, Activation::ReLU},
+                {128, Activation::ReLU},
+                {128, Activation::Tanh},
+                {64, Activation::ReLU},
+                {12, Activation::Identity}},
+               rng);
+}
+
+/**
+ * A frozen network reads pre-packed weights (both GEMM families occur
+ * in this topology); its forward and input gradient must be bitwise
+ * the unfrozen forward and backwardInPlace dL/dx, and inputGradient
+ * must leave the weight gradients alone.
+ */
+TEST(Mlp, FrozenForwardAndInputGradientEqualUnfrozenBitwise)
+{
+    Rng rng(1414);
+    Mlp plain = surrogateShapedNet(rng);
+    Mlp frozen = plain;
+    frozen.freeze();
+    EXPECT_TRUE(frozen.frozen());
+    EXPECT_FALSE(plain.frozen());
+    for (size_t rows : {1u, 4u, 128u}) {
+        Matrix x = randomMatrix(rows, 62, rng);
+        Matrix dOut = randomMatrix(rows, 12, rng);
+        const Matrix yPlain = plain.forward(x);
+        const Matrix yFrozen = frozen.forward(x);
+        EXPECT_TRUE(bitwiseEqual(yPlain, yFrozen)) << "rows=" << rows;
+
+        plain.zeroGrad();
+        const Matrix dxPlain = plain.backwardInPlace(dOut);
+        frozen.zeroGrad();
+        EXPECT_TRUE(bitwiseEqual(frozen.inputGradient(dOut), dxPlain))
+            << "rows=" << rows;
+        for (const Matrix *g : frozen.grads())
+            EXPECT_EQ(squaredNorm(*g), 0.0) << "rows=" << rows;
+
+        // The full backward of a frozen net (dX through the packs).
+        EXPECT_TRUE(bitwiseEqual(frozen.backwardInPlace(dOut), dxPlain))
+            << "rows=" << rows;
+        const std::vector<Matrix *> want = plain.grads();
+        const std::vector<Matrix *> got = frozen.grads();
+        for (size_t g = 0; g < want.size(); ++g)
+            EXPECT_TRUE(bitwiseEqual(*want[g], *got[g]))
+                << "grad " << g << " rows=" << rows;
+    }
+}
+
+/**
+ * Every path that writes weights drops the packs: after params(),
+ * softUpdateFrom or copyParamsFrom a frozen net computes bitwise what
+ * an unfrozen net with the same weights does, and copies taken before
+ * the write keep the old weights' packs.
+ */
+TEST(Mlp, WeightWritesAfterFreezeUseTheNewWeights)
+{
+    Rng rng(1515);
+    Mlp plain = surrogateShapedNet(rng);
+    Mlp other = surrogateShapedNet(rng);
+    Matrix x = randomMatrix(4, 62, rng);
+    Matrix dOut = randomMatrix(4, 12, rng);
+    auto expectSame = [&](Mlp &got, Mlp &want, const char *what) {
+        EXPECT_TRUE(bitwiseEqual(got.forward(x), want.forward(x))) << what;
+        Matrix dxWant = want.backwardInPlace(dOut);
+        EXPECT_TRUE(bitwiseEqual(got.inputGradient(dOut), dxWant)) << what;
+    };
+
+    Mlp frozen = plain;
+    frozen.freeze();
+    Mlp snapshot = frozen; // shares the packs of the original weights
+    frozen.params()[2]->data()[5] += 0.25f; // layer 1 (blocked) weight
+    frozen.params()[0]->data()[3] -= 0.5f;  // layer 0 (skinny) weight
+    EXPECT_FALSE(frozen.frozen());
+    plain.params()[2]->data()[5] += 0.25f;
+    plain.params()[0]->data()[3] -= 0.5f;
+    expectSame(frozen, plain, "params()");
+    frozen.freeze();
+    expectSame(frozen, plain, "params() then freeze()");
+
+    Rng again(1515);
+    Mlp reference = surrogateShapedNet(again);
+    EXPECT_TRUE(bitwiseEqual(snapshot.forward(x), reference.forward(x)))
+        << "copy taken before the write";
+
+    frozen.softUpdateFrom(other, 0.3f);
+    plain.softUpdateFrom(other, 0.3f);
+    expectSame(frozen, plain, "softUpdateFrom");
+
+    frozen.freeze();
+    frozen.copyParamsFrom(other);
+    expectSame(frozen, other, "copyParamsFrom");
 }
 
 TEST(Mlp, WeightGradientsMatchFiniteDifferences)

@@ -1,9 +1,12 @@
 /**
  * @file
  * Search-framework tests: budgets, recorders, virtual-time accounting,
- * and the four baseline searchers (determinism, budget compliance,
- * validity and sanity of results).
+ * the four baseline searchers (determinism, budget compliance,
+ * validity and sanity of results), and Phase 2 on a fixed trained
+ * surrogate pinned to recorded bits.
  */
+#include <bit>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "common/stats.hpp"
@@ -15,6 +18,7 @@
 #include "search/genetic.hpp"
 #include "search/parallel_driver.hpp"
 #include "search/random_search.hpp"
+#include "search/registry.hpp"
 
 namespace mm {
 namespace {
@@ -476,6 +480,113 @@ TEST_F(ParallelDriverFixture, SeedFromBBWarmStartsChainZero)
                                               plain)
                          .run(SearchBudget::bySteps(90), r3);
     EXPECT_TRUE(space.isMember(c.best));
+}
+
+/**
+ * Phase 2 on one fixed trained surrogate (an MTTKRP model whose hidden
+ * layers run the blocked GEMM family and whose input/output layers run
+ * the skinny one), pinned to golden best-EDP bits recorded before the
+ * surrogate got its frozen inference path (pre-packed weights, input
+ * gradient only). The recorded bits held on the AVX-512, AVX2 and
+ * portable kernels, in Release, Debug and -march=native builds.
+ */
+class PhaseTwoGoldenFixture : public ::testing::Test
+{
+  protected:
+    static void
+    SetUpTestSuite()
+    {
+        arch = new AcceleratorSpec(AcceleratorSpec::paperDefault());
+        Phase1Config cfg;
+        cfg.data.samples = 2000;
+        cfg.data.problemCount = 8;
+        cfg.data.seed = 11;
+        cfg.train.epochs = 4;
+        cfg.hidden = {64, 128, 64};
+        cfg.seed = 13;
+        result = new Phase1Result(trainSurrogate(*arch, mttkrpAlgo(), cfg));
+    }
+
+    static void
+    TearDownTestSuite()
+    {
+        delete result;
+        delete arch;
+        result = nullptr;
+        arch = nullptr;
+    }
+
+    static AcceleratorSpec *arch;
+    static Phase1Result *result;
+};
+
+AcceleratorSpec *PhaseTwoGoldenFixture::arch = nullptr;
+Phase1Result *PhaseTwoGoldenFixture::result = nullptr;
+
+TEST_F(PhaseTwoGoldenFixture, MmAndMmpBestEdpMatchRecordedBits)
+{
+    Problem p = mttkrpProblem("golden", 128, 256, 512, 128);
+    MapSpace space(*arch, p);
+    CostModel model(space);
+    SearcherBuildContext ctx{model, &result->surrogate};
+    const std::vector<std::pair<std::string, uint64_t>> golden = {
+        {"MM", 0x403ddc089b88b13fULL},
+        {"MM-P:chains=4", 0x4031307ab4269b28ULL}};
+    for (const auto &[spec, bits] : golden) {
+        auto searcher = SearcherRegistry::instance().make(spec, ctx);
+        Rng rng(83);
+        SearchResult res = searcher->run(SearchBudget::bySteps(150), rng);
+        EXPECT_EQ(res.steps, 150) << spec;
+        EXPECT_EQ(std::bit_cast<uint64_t>(res.bestNormEdp), bits)
+            << spec << " best " << res.bestNormEdp;
+    }
+}
+
+/**
+ * The surrogate's frozen gradient path against the plain MLP path on
+ * the same trained weights: input gradients bitwise equal to forward +
+ * backwardInPlace through an unfrozen copy of the network, fed the
+ * head gradient Surrogate::gradientBatch forms (the whitening std of
+ * the total-energy and cycles heads).
+ */
+TEST_F(PhaseTwoGoldenFixture, FrozenGradientEqualsUnfrozenNetBitwise)
+{
+    Surrogate sur = result->surrogate; // copies share the packs
+    ASSERT_TRUE(sur.net().frozen());
+    Mlp plain = sur.net();
+    plain.params(); // thaws the copy
+    ASSERT_FALSE(plain.frozen());
+
+    const size_t energy = mttkrpAlgo().tensorCount() * size_t(kNumMemLevels);
+    const size_t cycles = energy + 2;
+    Problem p = mttkrpProblem("golden", 128, 256, 512, 128);
+    MapSpace space(*arch, p);
+    MappingCodec codec(space);
+    Rng rng(89);
+    for (size_t rows : {1u, 4u, 128u}) {
+        Matrix z(rows, sur.featureCount());
+        for (size_t r = 0; r < rows; ++r) {
+            auto f = sur.normalizeInput(codec.encode(space.randomValid(rng)));
+            for (size_t j = 0; j < f.size(); ++j)
+                z(r, j) = float(f[j]);
+        }
+        std::vector<double> preds;
+        const Matrix got = sur.gradientBatch(z, preds);
+
+        Matrix head(rows, sur.outputCount());
+        for (size_t r = 0; r < rows; ++r) {
+            head(r, energy) = float(sur.outputNormalizer().std(energy));
+            head(r, cycles) = float(sur.outputNormalizer().std(cycles));
+        }
+        plain.forward(z);
+        const Matrix &want = plain.backwardInPlace(head);
+        ASSERT_EQ(got.rows(), want.rows());
+        ASSERT_EQ(got.cols(), want.cols());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "rows=" << rows;
+    }
 }
 
 TEST(TimingModel, PaperCalibratedRatios)

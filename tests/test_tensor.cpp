@@ -3,8 +3,8 @@
  * Tests for the dense linear-algebra substrate: GEMM against the
  * reference kernel for every transpose combination and shape class
  * (including the blocked+packed kernel, threading determinism and the
- * aligned allocator), and the skinny kernels bitwise against their
- * scalar oracle.
+ * aligned allocator), the skinny kernels bitwise against their scalar
+ * oracle, and pre-packed B operands bitwise against per-call packing.
  */
 #include <cstdint>
 #include <cstring>
@@ -281,6 +281,58 @@ TEST(Gemm, RowResultIndependentOfBatchSize)
                     EXPECT_TRUE(same) << "m=" << m << " k=" << k
                                       << " n=" << n << " ta=" << ta
                                       << " tb=" << tb << " r0=" << r0;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * A pre-packed B operand must reproduce the unpacked call bit for bit in
+ * both kernel families: the skinny shapes of the sweep above, the
+ * surrogate's hidden-layer shapes, and blocked shapes with k past KC or
+ * n past NC (several packed blocks). Every transpose form, alpha and
+ * beta, 1..17 rows and 128, serial and on a pool (the 128-row blocked
+ * calls split into row ranges there).
+ */
+TEST(Gemm, PackedOperandBitwiseEqualsUnpacked)
+{
+    const std::vector<std::pair<size_t, size_t>> shapes = {
+        {62, 64},  {63, 64},   {41, 64},    {64, 12},  {64, 15},
+        {64, 63},  {12, 64},   {15, 64},    {1, 1},    {5, 7},
+        {33, 29},  {2, 2047},  {64, 128},   {128, 128}, {128, 64},
+        {96, 80},  {300, 70},  {257, 1030}, {70, 1100}};
+    std::vector<size_t> rows;
+    for (size_t m = 1; m <= 17; ++m)
+        rows.push_back(m);
+    rows.push_back(128);
+    ThreadPool pool(3);
+    Rng rng(8128);
+    for (auto [k, n] : shapes) {
+        for (int form = 0; form < 4; ++form) {
+            const bool ta = (form & 1) != 0, tb = (form & 2) != 0;
+            const Matrix b = tb ? randomMatrix(n, k, rng)
+                                : randomMatrix(k, n, rng);
+            const PackedB packed(b, tb);
+            ASSERT_EQ(packed.depth(), k);
+            ASSERT_EQ(packed.width(), n);
+            for (size_t m : rows) {
+                Matrix a = ta ? randomMatrix(k, m, rng)
+                              : randomMatrix(m, k, rng);
+                const Matrix c0 = randomMatrix(m, n, rng);
+                for (float alpha : {1.0f, -1.5f}) {
+                    for (float beta : {0.0f, 1.0f, 0.5f}) {
+                        Matrix expect = c0, serial = c0, pooled = c0;
+                        gemm(ta, tb, alpha, a, b, beta, expect);
+                        gemm(ta, tb, alpha, a, b, &packed, beta, serial);
+                        gemm(ta, tb, alpha, a, b, &packed, beta, pooled,
+                             &pool);
+                        EXPECT_TRUE(bitwiseEqual(serial, expect)
+                                    && bitwiseEqual(pooled, expect))
+                            << "m=" << m << " k=" << k << " n=" << n
+                            << " ta=" << ta << " tb=" << tb
+                            << " alpha=" << alpha << " beta=" << beta;
+                    }
                 }
             }
         }
