@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
 
@@ -319,6 +320,204 @@ TEST(Nest, CnnTinyCoverage)
         }
         EXPECT_DOUBLE_EQ(double(inBounds), p.totalMacs());
     }
+}
+
+/**
+ * Golden pin of the map-space primitives. For each space, every
+ * routine runs 2000 times on inputs drawn from fixed seeds; the hash
+ * folds in each output and, after each call, the Rng's next raw()
+ * draw, which pins how many draws the call consumed. Values recorded
+ * before the primitives were made allocation-free; any change to a
+ * result or to the draw sequence changes a hash.
+ */
+struct Fnv
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    template <typename T>
+    void
+    add(const std::vector<T> &v)
+    {
+        add(uint64_t(v.size()));
+        for (T x : v)
+            add(uint64_t(int64_t(x)));
+    }
+
+    void
+    add(const Mapping &m)
+    {
+        for (const auto &t : m.tiling)
+            add(t);
+        add(m.spatial);
+        for (const auto &o : m.loopOrder)
+            add(o);
+        for (const auto &a : m.bufferAlloc)
+            add(a);
+    }
+};
+
+/** A mapping-shaped value with out-of-domain entries of every class. */
+Mapping
+corrupted(const MapSpace &space, Rng &noise)
+{
+    Mapping m = space.randomValid(noise);
+    const size_t d = space.rank();
+    for (size_t i = 0; i < d; ++i) {
+        const int64_t b = space.problem().bounds[i];
+        for (auto &t : m.tiling)
+            if (noise.bernoulli(0.3))
+                t[i] = noise.uniformInt(-3, 3 * b);
+        if (noise.bernoulli(0.3))
+            m.spatial[i] = noise.uniformInt(-3, 3 * b);
+    }
+    for (auto &o : m.loopOrder)
+        for (auto &v : o)
+            if (noise.bernoulli(0.3))
+                v = int(noise.uniformInt(-1, int64_t(d)));
+    for (auto &a : m.bufferAlloc)
+        for (auto &v : a)
+            if (noise.bernoulli(0.3))
+                v = int(noise.uniformInt(-2, 40));
+    // Arity faults: a short tiling row and a short loop order.
+    if (noise.bernoulli(0.1))
+        m.tiling[size_t(noise.uniformInt(0, kNumMemLevels - 1))].resize(
+            d - 1);
+    if (noise.bernoulli(0.1))
+        m.loopOrder[size_t(noise.uniformInt(0, kNumMemLevels - 1))]
+            .resize(d / 2);
+    return m;
+}
+
+/** Hashes of the six routines, in the order the test computes them. */
+std::array<uint64_t, 6>
+primitiveHashes(const MapSpace &space)
+{
+    constexpr int kCalls = 2000;
+    MappingCodec codec(space);
+    std::array<uint64_t, 6> out{};
+
+    {
+        Fnv h;
+        Rng rng(101);
+        for (int i = 0; i < kCalls; ++i) {
+            h.add(space.randomValid(rng));
+            h.add(rng.raw());
+        }
+        out[0] = h.h;
+    }
+    {
+        Fnv h;
+        Rng noise(102);
+        for (int i = 0; i < kCalls; ++i)
+            h.add(space.project(corrupted(space, noise)));
+        out[1] = h.h;
+    }
+    {
+        Fnv h;
+        Rng noise(103);
+        std::vector<double> f(codec.featureCount());
+        for (int i = 0; i < kCalls; ++i) {
+            if (i % 2 == 0) {
+                for (auto &v : f)
+                    v = noise.uniformReal(-50.0, 300.0);
+            } else {
+                f = codec.encode(space.randomValid(noise));
+                for (size_t j = codec.pidCount(); j < f.size(); ++j)
+                    f[j] += noise.gaussian(0.0, 1.5);
+            }
+            h.add(codec.decode(f));
+        }
+        out[2] = h.h;
+    }
+    {
+        Fnv h;
+        Rng rng(104);
+        Mapping m = space.randomValid(rng);
+        for (int i = 0; i < kCalls; ++i) {
+            m = randomNeighbor(space, m, rng);
+            h.add(m);
+            h.add(rng.raw());
+        }
+        out[3] = h.h;
+    }
+    {
+        Fnv h;
+        Rng rng(105);
+        Mapping m = space.randomValid(rng);
+        for (int i = 0; i < kCalls; ++i) {
+            m = mutate(space, m, 0.2, rng);
+            h.add(m);
+            h.add(rng.raw());
+        }
+        out[4] = h.h;
+    }
+    {
+        Fnv h;
+        Rng rng(106);
+        std::vector<Mapping> pool;
+        for (int i = 0; i < 8; ++i)
+            pool.push_back(space.randomValid(rng));
+        for (int i = 0; i < kCalls; ++i) {
+            Mapping child = crossover(space, pool[size_t(i) % 8],
+                                      pool[size_t(i + 3) % 8], rng);
+            h.add(child);
+            h.add(rng.raw());
+            pool[size_t(i + 5) % 8] = std::move(child);
+        }
+        out[5] = h.h;
+    }
+    return out;
+}
+
+void
+expectHashes(const MapSpace &space, const std::array<uint64_t, 6> &want)
+{
+    static const char *const names[] = {"randomValid", "project",
+                                        "decode",      "randomNeighbor",
+                                        "mutate",      "crossover"};
+    const auto got = primitiveHashes(space);
+    for (size_t i = 0; i < got.size(); ++i) {
+        char hex[32];
+        std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                      static_cast<unsigned long long>(got[i]));
+        EXPECT_EQ(got[i], want[i])
+            << space.problem().name << " " << names[i] << " got " << hex;
+    }
+}
+
+TEST(MapSpaceGolden, ResNetConv4)
+{
+    auto fx = paperCnnSpace();
+    expectHashes(fx.space, {0xb7952632b73a6bf7ULL, 0xd2bcb40057d3c458ULL,
+                            0x00aca7d45abe5d50ULL, 0x3b1c1a1bda7a27edULL,
+                            0xf1db0fdd6745c9ddULL, 0xe05f36849ef28d29ULL});
+}
+
+TEST(MapSpaceGolden, MttkrpSmall)
+{
+    SpaceFixture fx{AcceleratorSpec::paperDefault(),
+                    mttkrpProblem("MTTKRP_small", 128, 256, 512, 128)};
+    expectHashes(fx.space, {0x186d2c426ae54e11ULL, 0x50543f522a76e8feULL,
+                            0x5d5280eab2c770e4ULL, 0x298fd7ed4c1e7561ULL,
+                            0xcc85d1f09dfdc3c5ULL, 0x28e4e4170db5fbbfULL});
+}
+
+TEST(MapSpaceGolden, Conv1d)
+{
+    SpaceFixture fx{AcceleratorSpec::tinyDefault(),
+                    makeProblem(conv1dAlgo(), "conv1d_96x7", {96, 7})};
+    expectHashes(fx.space, {0x63f051e0b495b1daULL, 0x318eeee90a90f34bULL,
+                            0xca940b3408cf1cd8ULL, 0x26ee63763e971e62ULL,
+                            0xbca232b9f0776cdeULL, 0xd9ad084518229889ULL});
 }
 
 TEST(Printer, RendersLoopNestAndBuffers)

@@ -6,6 +6,7 @@
  * surrogate pinned to recorded bits.
  */
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <gtest/gtest.h>
 
@@ -490,6 +491,50 @@ TEST_F(ParallelDriverFixture, SeedFromBBWarmStartsChainZero)
  * gradient only). The recorded bits held on the AVX-512, AVX2 and
  * portable kernels, in Release, Debug and -march=native builds.
  */
+/**
+ * SA, GA and Random best-EDP bits at 500 steps on the two benchmark
+ * targets (held-out ResNet_Conv_4 and MTTKRP_small), recorded before
+ * the map-space primitives were made allocation-free. The searchers
+ * reach the map space only through randomValid, project and the move
+ * operators, so these pin the whole stochastic-search path.
+ */
+TEST(BaselineGolden, SaGaRandomBestEdpMatchRecordedBits)
+{
+    const AcceleratorSpec arch = AcceleratorSpec::paperDefault();
+    const Problem cnn =
+        cnnProblem("ResNet_Conv_4", 16, 256, 256, 14, 14, 3, 3);
+    const Problem mtt = mttkrpProblem("MTTKRP_small", 128, 256, 512, 128);
+    struct Pin
+    {
+        const Problem *problem;
+        const char *spec;
+        uint64_t bits;
+    };
+    const Pin pins[] = {
+        {&cnn, "SA", 0x40427547cdf37dc9ULL},
+        {&cnn, "GA", 0x40396abfeb401c82ULL},
+        {&cnn, "Random", 0x40486b9fe8efb13eULL},
+        {&mtt, "SA", 0x402da789c03d167dULL},
+        {&mtt, "GA", 0x4023aec038593e92ULL},
+        {&mtt, "Random", 0x4029d365e52923e3ULL},
+    };
+    for (const Pin &pin : pins) {
+        MapSpace space(arch, *pin.problem);
+        CostModel model(space);
+        SearcherBuildContext ctx{model, nullptr};
+        auto searcher = SearcherRegistry::instance().make(pin.spec, ctx);
+        Rng rng(31);
+        SearchResult res = searcher->run(SearchBudget::bySteps(500), rng);
+        EXPECT_EQ(res.steps, 500) << pin.spec;
+        char hex[32];
+        std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                      static_cast<unsigned long long>(
+                          std::bit_cast<uint64_t>(res.bestNormEdp)));
+        EXPECT_EQ(std::bit_cast<uint64_t>(res.bestNormEdp), pin.bits)
+            << pin.problem->name << " " << pin.spec << " got " << hex;
+    }
+}
+
 class PhaseTwoGoldenFixture : public ::testing::Test
 {
   protected:
