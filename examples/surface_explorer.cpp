@@ -14,6 +14,7 @@
  * multiplicatively, which is exactly what breaks classic smooth
  * optimization here.
  */
+#include <array>
 #include <iostream>
 
 #include "common/factorization.hpp"
@@ -89,8 +90,8 @@ main()
 
     probe("tiling (one dim resampled)", [&](Mapping &m) {
         size_t d = size_t(rng.uniformInt(0, int64_t(space.rank()) - 1));
-        const auto &table = factorTable(p.bounds[d], kFactorSlots);
-        auto f = table.sample(rng);
+        std::array<int64_t, kFactorSlots> f;
+        space.dimTable(d).sample(rng, f);
         m.tiling[size_t(MemLevel::L1)][d] = f[0];
         m.spatial[d] = f[1];
         m.tiling[size_t(MemLevel::L2)][d] = f[2];
@@ -98,7 +99,7 @@ main()
     });
     probe("loop order (one level shuffled)", [&](Mapping &m) {
         size_t lvl = size_t(rng.uniformInt(0, kNumMemLevels - 1));
-        m.loopOrder[lvl] = randomPerm(int(space.rank()), rng);
+        randomPerm(m.loopOrder[lvl], rng);
     });
     probe("buffer allocation (one level redrawn)", [&](Mapping &m) {
         size_t lvl = size_t(rng.uniformInt(0, kNumOnChipLevels - 1));

@@ -1,12 +1,13 @@
 #include "common/factorization.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
-#include "common/mutex.hpp"
 #include <tuple>
 
+#include "common/mutex.hpp"
 #include "common/string_util.hpp"
 
 namespace mm {
@@ -36,73 +37,98 @@ FactorizationTable::FactorizationTable(int64_t bound_, int slots_,
 {
     maxFactor = maxFactor_ > 0 ? std::min(maxFactor_, padLimit) : padLimit;
     MM_ASSERT(bound >= 1, "bound must be positive");
-    MM_ASSERT(slots >= 1, "slots must be positive");
+    MM_ASSERT(slots >= 1 && slots <= kMaxFactorSlots,
+              "slots outside [1, kMaxFactorSlots]");
+    const size_t width = size_t(padLimit) + 1;
 
-    // Divisor lists for every possible product value.
-    divs.resize(size_t(padLimit) + 1);
-    for (int64_t d = 1; d <= padLimit; ++d)
+    // Divisor lists for every possible product value, concatenated:
+    // count each p's divisors, then fill in increasing d. Only divisors
+    // a slot may take (<= maxFactor) are listed.
+    divStart.assign(width + 1, 0);
+    for (int64_t d = 1; d <= maxFactor; ++d)
         for (int64_t p = d; p <= padLimit; p += d)
-            divs[size_t(p)].push_back(int32_t(d));
+            ++divStart[size_t(p) + 1];
+    for (size_t p = 1; p <= width; ++p)
+        divStart[p] += divStart[p - 1];
+    divFlat.resize(divStart[width]);
+    std::vector<uint32_t> fill(divStart.begin(), divStart.end() - 1);
+    for (int64_t d = 1; d <= maxFactor; ++d)
+        for (int64_t p = d; p <= padLimit; p += d)
+            divFlat[fill[size_t(p)]++] = {int32_t(d), int32_t(p / d)};
 
-    // ways[s][p]: ordered s-tuples of factors in [1, maxFactor] with
+    // ways(s, p): ordered s-tuples of factors in [1, maxFactor] with
     // product exactly p.
-    ways.assign(size_t(slots) + 1,
-                std::vector<int64_t>(size_t(padLimit) + 1, 0));
-    ways[0][1] = 1;
+    waysFlat.assign((size_t(slots) + 1) * width, 0);
+    waysFlat[1] = 1; // ways(0, 1)
     for (int s = 1; s <= slots; ++s) {
         for (int64_t p = 1; p <= padLimit; ++p) {
             int64_t acc = 0;
-            for (int32_t f : divs[size_t(p)]) {
-                if (f > maxFactor)
-                    break;
-                acc += ways[size_t(s) - 1][size_t(p / f)];
+            for (const Divisor &d : divisorsOf(p)) {
+                acc += ways(s - 1, d.cofactor);
             }
-            ways[size_t(s)][size_t(p)] = acc;
+            waysFlat[size_t(s) * width + size_t(p)] = acc;
         }
     }
 
     total = 0;
-    for (int64_t p = bound; p <= padLimit; ++p)
-        total += ways[size_t(slots)][size_t(p)];
+    for (int64_t p = bound; p <= padLimit; ++p) {
+        total += ways(slots, p);
+        cumWays.push_back(total);
+    }
     MM_ASSERT(total > 0, strCat("no legal factorization for bound=", bound,
                                 " slots=", slots));
+
+    logOf.assign(width, 0.0);
+    for (int64_t v = 1; v <= padLimit; ++v)
+        logOf[size_t(v)] = std::log(double(v));
+    for (int64_t q = bound; q <= padLimit; ++q) {
+        if (ways(slots, q) > 0) {
+            legalProducts.push_back(q);
+            legalLogs.push_back(logOf[size_t(q)]);
+        }
+    }
 }
 
-std::vector<int64_t>
-FactorizationTable::sample(Rng &rng) const
+void
+FactorizationTable::sample(Rng &rng, std::span<int64_t> out) const
 {
-    // Pick the product proportionally to its tuple count, then unwind the
+    MM_ASSERT(out.size() == size_t(slots), "factor tuple arity mismatch");
+    // Pick the product proportionally to its tuple count (the first
+    // product whose cumulative count exceeds the draw), then unwind the
     // DP to pick each factor with the correct conditional probability.
-    int64_t target = rng.uniformInt(0, total - 1);
-    int64_t product = bound;
-    for (int64_t p = bound; p <= padLimit; ++p) {
-        int64_t w = ways[size_t(slots)][size_t(p)];
-        if (target < w) {
-            product = p;
+    // The search is a branch-free upper_bound: the draw makes every
+    // comparison a coin flip, which a branch pays for in
+    // mispredictions. The answer stays in [first, first + len).
+    const int64_t target = rng.uniformInt(0, total - 1);
+    const int64_t *first = cumWays.data();
+    for (size_t len = cumWays.size(); len > 1;) {
+        const size_t half = len / 2;
+        first = first[half - 1] <= target ? first + half : first;
+        len -= half;
+    }
+    int64_t rem = bound + (first - cumWays.data());
+
+    std::fill(out.begin(), out.end(), 1);
+    for (int s = slots; s >= 1; --s) {
+        int64_t t = rng.uniformInt(0, ways(s, rem) - 1);
+        if (s == 1) {
+            // One tuple is left (ways(1, rem) == 1): the last slot
+            // takes the whole remainder.
+            out[0] = rem;
+            rem = 1;
             break;
         }
-        target -= w;
-    }
-
-    std::vector<int64_t> factors(size_t(slots), 1);
-    int64_t rem = product;
-    for (int s = slots; s >= 1; --s) {
-        int64_t w = ways[size_t(s)][size_t(rem)];
-        int64_t t = rng.uniformInt(0, w - 1);
-        for (int32_t f : divs[size_t(rem)]) {
-            if (f > maxFactor)
-                break;
-            int64_t sub = ways[size_t(s) - 1][size_t(rem / f)];
+        for (const Divisor &d : divisorsOf(rem)) {
+            int64_t sub = ways(s - 1, d.cofactor);
             if (t < sub) {
-                factors[size_t(s) - 1] = f;
-                rem /= f;
+                out[size_t(s) - 1] = d.f;
+                rem = d.cofactor;
                 break;
             }
             t -= sub;
         }
     }
     MM_ASSERT(rem == 1, "factor sampling failed to consume product");
-    return factors;
 }
 
 bool
@@ -121,74 +147,81 @@ FactorizationTable::contains(std::span<const int64_t> factors) const
     return product >= bound && product <= padLimit;
 }
 
-std::vector<int64_t>
+void
 FactorizationTable::repair(std::span<const int64_t> factors,
-                           int adjustSlot) const
+                           int adjustSlot, std::span<int64_t> out) const
 {
     MM_ASSERT(adjustSlot >= 0 && adjustSlot < slots, "bad adjust slot");
-    std::vector<int64_t> clamped(factors.begin(), factors.end());
-    clamped.resize(size_t(slots), 1);
-    for (auto &f : clamped)
-        f = std::clamp<int64_t>(f, 1, maxFactor);
-    if (contains(clamped))
-        return clamped;
+    MM_ASSERT(out.size() == size_t(slots), "factor tuple arity mismatch");
+    std::array<int64_t, kMaxFactorSlots> clampedBuf;
+    const std::span<int64_t> clamped(clampedBuf.data(), size_t(slots));
+    for (size_t s = 0; s < clamped.size(); ++s)
+        clamped[s] = s < factors.size()
+                         ? std::clamp<int64_t>(factors[s], 1, maxFactor)
+                         : 1;
+    if (contains(clamped)) {
+        std::copy(clamped.begin(), clamped.end(), out.begin());
+        return;
+    }
 
     // Choose the legal target product closest (in log space) to the
-    // clamped tuple's product; ways[slots][q] > 0 guarantees the greedy
-    // slot-by-slot reconstruction below cannot get stuck.
+    // clamped tuple's product, the smaller one on a tie; ways(slots, q)
+    // > 0 guarantees the greedy slot-by-slot reconstruction below cannot
+    // get stuck. Logs of distinct integers are strictly increasing (by
+    // ~1/q, far above rounding), so the distance falls strictly up to
+    // logP and rises strictly after it: the closest product is one of
+    // the two legal neighbours of logP, found by binary search.
     double logP = 0.0;
     for (int64_t f : clamped)
-        logP += std::log(double(f));
-    int64_t target = -1;
-    double bestDist = std::numeric_limits<double>::infinity();
-    for (int64_t q = bound; q <= padLimit; ++q) {
-        if (ways[size_t(slots)][size_t(q)] == 0)
-            continue;
-        double dist = std::fabs(std::log(double(q)) - logP);
-        if (dist < bestDist) {
-            bestDist = dist;
-            target = q;
-        }
-    }
-    MM_ASSERT(target > 0, "no feasible product in the pad window");
+        logP += logOf[size_t(f)];
+    const size_t above = size_t(
+        std::upper_bound(legalLogs.begin(), legalLogs.end(), logP)
+        - legalLogs.begin());
+    size_t pick = above;
+    if (above == legalLogs.size()
+        || (above > 0
+            && std::fabs(legalLogs[above - 1] - logP)
+                   <= std::fabs(legalLogs[above] - logP)))
+        pick = above - 1;
+    const int64_t target = legalProducts[pick];
 
     // Greedily rebuild each slot near its clamped value, preferring to
     // spend the adjustment on adjustSlot by fixing it last.
-    std::vector<int> slotOrder;
+    std::array<int, kMaxFactorSlots> slotOrder;
+    size_t n = 0;
     for (int s = 0; s < slots; ++s)
         if (s != adjustSlot)
-            slotOrder.push_back(s);
-    slotOrder.push_back(adjustSlot);
+            slotOrder[n++] = s;
+    slotOrder[n++] = adjustSlot;
 
-    std::vector<int64_t> fixed(size_t(slots), 1);
+    std::array<int64_t, kMaxFactorSlots> fixed;
+    std::fill(fixed.begin(), fixed.end(), 1);
     int64_t rem = target;
-    for (size_t i = 0; i < slotOrder.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
         int slot = slotOrder[i];
-        int remainingSlots = int(slotOrder.size() - i) - 1;
-        int64_t bestF = -1;
+        int remainingSlots = int(n - i) - 1;
+        const double want = logOf[size_t(clamped[size_t(slot)])];
+        const Divisor *best = nullptr;
         double bestD = std::numeric_limits<double>::infinity();
-        for (int32_t f : divs[size_t(rem)]) {
-            if (f > maxFactor)
-                break;
-            if (remainingSlots > 0
-                && ways[size_t(remainingSlots)][size_t(rem / f)] == 0)
+        for (const Divisor &d : divisorsOf(rem)) {
+            if (remainingSlots > 0 && ways(remainingSlots, d.cofactor) == 0)
                 continue;
-            if (remainingSlots == 0 && rem / f != 1)
+            if (remainingSlots == 0 && d.cofactor != 1)
                 continue;
-            double d = std::fabs(std::log(double(f))
-                                 - std::log(double(clamped[size_t(slot)])));
-            if (d < bestD) {
-                bestD = d;
-                bestF = f;
+            double dist = std::fabs(logOf[size_t(d.f)] - want);
+            if (dist < bestD) {
+                bestD = dist;
+                best = &d;
             }
         }
-        MM_ASSERT(bestF > 0, "repair reconstruction stuck");
-        fixed[size_t(slot)] = bestF;
-        rem /= bestF;
+        MM_ASSERT(best != nullptr, "repair reconstruction stuck");
+        fixed[size_t(slot)] = best->f;
+        rem = best->cofactor;
     }
-    MM_ASSERT(rem == 1 && contains(fixed),
+    const std::span<const int64_t> result(fixed.data(), size_t(slots));
+    MM_ASSERT(rem == 1 && contains(result),
               "repair produced illegal factorization");
-    return fixed;
+    std::copy(result.begin(), result.end(), out.begin());
 }
 
 namespace {
@@ -199,7 +232,7 @@ namespace {
  * searchers sample concurrently, and the first draw for a new bound
  * may land on any lane. std::map never invalidates node references, so
  * a returned reference stays valid unguarded for program lifetime; hot
- * paths (CostTables) resolve their tables once and keep the pointers.
+ * paths (MapSpace) resolve their tables once and keep the pointers.
  */
 struct FactorTableCache
 {

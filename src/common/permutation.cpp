@@ -5,13 +5,11 @@
 
 namespace mm {
 
-std::vector<int>
-randomPerm(int n, Rng &rng)
+void
+randomPerm(std::span<int> order, Rng &rng)
 {
-    std::vector<int> order(static_cast<size_t>(n));
     std::iota(order.begin(), order.end(), 0);
     rng.shuffle(order);
-    return order;
 }
 
 std::vector<int>
@@ -38,20 +36,40 @@ orderFromRanks(std::span<const int> ranks)
     return order;
 }
 
-std::vector<int>
-orderFromScores(std::span<const double> scores)
+void
+orderFromScores(std::span<const double> scores, std::span<int> order)
 {
-    std::vector<int> order(scores.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return scores[size_t(a)] < scores[size_t(b)];
-    });
-    return order;
+    MM_ASSERT(order.size() == scores.size(), "order/score arity mismatch");
+    // Stable insertion sort: an element moves left only past strictly
+    // greater scores, which for any NaN-free input is the permutation
+    // std::stable_sort returns.
+    for (size_t i = 0; i < order.size(); ++i) {
+        const int dim = int(i);
+        const double key = scores[i];
+        size_t j = i;
+        while (j > 0 && key < scores[size_t(order[j - 1])]) {
+            order[j] = order[j - 1];
+            --j;
+        }
+        order[j] = dim;
+    }
 }
 
 bool
 isPermutation(std::span<const int> order)
 {
+    if (order.size() <= 64) {
+        uint64_t seen = 0;
+        for (int v : order) {
+            if (v < 0 || size_t(v) >= order.size())
+                return false;
+            const uint64_t bit = uint64_t(1) << unsigned(v);
+            if (seen & bit)
+                return false;
+            seen |= bit;
+        }
+        return true;
+    }
     std::vector<bool> seen(order.size(), false);
     for (int v : order) {
         if (v < 0 || size_t(v) >= order.size() || seen[size_t(v)])

@@ -19,8 +19,9 @@
 
 namespace mm {
 
-/** Uniformly random permutation of {0..n-1}. */
-std::vector<int> randomPerm(int n, Rng &rng);
+/** Fill @p order with a uniformly random permutation of {0..n-1}
+ * (n = order.size(); a Fisher-Yates shuffle of the identity). */
+void randomPerm(std::span<int> order, Rng &rng);
 
 /** rank[d] = position of dim d in @p order. */
 std::vector<int> ranksOf(std::span<const int> order);
@@ -29,13 +30,18 @@ std::vector<int> ranksOf(std::span<const int> order);
 std::vector<int> orderFromRanks(std::span<const int> ranks);
 
 /**
- * Decode real-valued per-dimension scores into an order: the dimension
- * with the smallest score becomes the outermost loop. Ties break on
- * dimension index (stable), so decoding is deterministic.
+ * Decode real-valued per-dimension scores into @p order (same length):
+ * the dimension with the smallest score becomes the outermost loop.
+ * Ties break on dimension index (a stable insertion sort), so decoding
+ * is deterministic. Scores are compared with `<` only; a NaN score
+ * compares false both ways, so the dimension stays where the scan
+ * reaches it, and every input still yields one well-defined
+ * permutation.
  */
-std::vector<int> orderFromScores(std::span<const double> scores);
+void orderFromScores(std::span<const double> scores, std::span<int> order);
 
-/** True iff @p order is a permutation of {0..n-1}. */
+/** True iff @p order is a permutation of {0..n-1} (allocation-free for
+ * n <= 64). */
 bool isPermutation(std::span<const int> order);
 
 /** n! as a double (map-space size accounting; n is small). */

@@ -15,21 +15,23 @@ GradientChain::GradientChain(const MapSpace &space_,
 {
     MM_ASSERT(cfg.learningRate > 0.0, "non-positive learning rate");
     MM_ASSERT(cfg.injectEvery > 0, "injection interval must be positive");
-    cur = space->randomValid(rng);
-    z = encodeZ(cur);
+    space->randomValid(rng, cur);
+    encodeZ(cur, z);
 }
 
-std::vector<double>
-GradientChain::encodeZ(const Mapping &m) const
+void
+GradientChain::encodeZ(const Mapping &m, std::vector<double> &out) const
 {
-    return surrogate->normalizeInput(codec->encode(m));
+    out.resize(codec->featureCount());
+    codec->encode(m, out);
+    surrogate->normalizeInputInPlace(out);
 }
 
 void
 GradientChain::restartFrom(const Mapping &m)
 {
     cur = m;
-    z = encodeZ(cur);
+    encodeZ(cur, z);
 }
 
 void
@@ -48,8 +50,10 @@ GradientChain::applyGradient(std::span<const float> gradRow)
 
     // Round to attribute domains and project to validity, then
     // re-encode so the iterate matches the projected point.
-    cur = codec->decode(surrogate->denormalizeInput(z));
-    z = encodeZ(cur);
+    raw.assign(z.begin(), z.end());
+    surrogate->denormalizeInputInPlace(raw);
+    codec->decode(raw, cur);
+    encodeZ(cur, z);
     ++stepsTaken;
 }
 
@@ -63,8 +67,8 @@ GradientChain::wantsInjection() const
 void
 GradientChain::prepareInjection()
 {
-    candidate = space->randomValid(rng);
-    zCand = encodeZ(candidate);
+    space->randomValid(rng, candidate);
+    encodeZ(candidate, zCand);
 }
 
 void
@@ -73,8 +77,10 @@ GradientChain::resolveInjection(double costCurrent, double costCandidate)
     double delta = costCandidate - costCurrent;
     if (delta <= 0.0
         || rng.uniformReal() < std::exp(-delta / temperature)) {
-        cur = std::move(candidate);
-        z = std::move(zCand);
+        // Swap, not move: the old iterate's storage becomes the next
+        // candidate's.
+        std::swap(cur, candidate);
+        std::swap(z, zCand);
     }
     ++injections;
     if (injections % cfg.decayEveryInjections == 0)

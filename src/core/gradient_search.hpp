@@ -120,17 +120,21 @@ class GradientChain
     void resolveInjection(double costCurrent, double costCandidate);
 
   private:
-    std::vector<double> encodeZ(const Mapping &m) const;
+    /** z-scored features of @p m into @p out. */
+    void encodeZ(const Mapping &m, std::vector<double> &out) const;
 
     const MapSpace *space;
     const MappingCodec *codec;
     Surrogate *surrogate;
     GradientSearchConfig cfg;
     Rng rng;
+    // The iterate, the pending injection candidate and the decode
+    // scratch are chain-owned and reused, so a step allocates nothing.
     Mapping cur;
     std::vector<double> z;
     Mapping candidate;
     std::vector<double> zCand;
+    std::vector<double> raw;
     double temperature;
     int64_t stepsTaken = 0;
     int64_t injections = 0;

@@ -54,21 +54,33 @@ StreamingNormalizerFit::finish() const
 std::vector<double>
 Normalizer::apply(std::span<const double> raw) const
 {
-    MM_ASSERT(raw.size() == dim(), "normalizer arity mismatch");
-    std::vector<double> out(raw.size());
-    for (size_t i = 0; i < raw.size(); ++i)
-        out[i] = (raw[i] - means[i]) / stds[i];
+    std::vector<double> out(raw.begin(), raw.end());
+    applyInPlace(out);
     return out;
+}
+
+void
+Normalizer::applyInPlace(std::span<double> x) const
+{
+    MM_ASSERT(x.size() == dim(), "normalizer arity mismatch");
+    for (size_t i = 0; i < x.size(); ++i)
+        x[i] = (x[i] - means[i]) / stds[i];
 }
 
 std::vector<double>
 Normalizer::invert(std::span<const double> normed) const
 {
-    MM_ASSERT(normed.size() == dim(), "normalizer arity mismatch");
-    std::vector<double> out(normed.size());
-    for (size_t i = 0; i < normed.size(); ++i)
-        out[i] = normed[i] * stds[i] + means[i];
+    std::vector<double> out(normed.begin(), normed.end());
+    invertInPlace(out);
     return out;
+}
+
+void
+Normalizer::invertInPlace(std::span<double> x) const
+{
+    MM_ASSERT(x.size() == dim(), "normalizer arity mismatch");
+    for (size_t i = 0; i < x.size(); ++i)
+        x[i] = x[i] * stds[i] + means[i];
 }
 
 void

@@ -36,8 +36,14 @@ class Normalizer
     /** (x - mean) / std, elementwise per column. */
     std::vector<double> apply(std::span<const double> raw) const;
 
+    /** apply, overwriting @p x. */
+    void applyInPlace(std::span<double> x) const;
+
     /** Inverse transform. */
     std::vector<double> invert(std::span<const double> normed) const;
+
+    /** invert, overwriting @p x. */
+    void invertInPlace(std::span<double> x) const;
 
     /** Normalize every row of @p data in place. */
     void applyInPlace(Matrix &data) const;

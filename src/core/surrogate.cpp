@@ -51,17 +51,31 @@ Surrogate::Surrogate(Mlp net, FeatureTransform transform_,
 std::vector<double>
 Surrogate::normalizeInput(std::span<const double> raw) const
 {
-    std::vector<double> conditioned(raw.begin(), raw.end());
-    transform.apply(conditioned);
-    return inputNorm.apply(conditioned);
+    std::vector<double> z(raw.begin(), raw.end());
+    normalizeInputInPlace(z);
+    return z;
+}
+
+void
+Surrogate::normalizeInputInPlace(std::span<double> features) const
+{
+    transform.apply(features);
+    inputNorm.applyInPlace(features);
 }
 
 std::vector<double>
 Surrogate::denormalizeInput(std::span<const double> z) const
 {
-    std::vector<double> raw = inputNorm.invert(z);
-    transform.invert(raw);
+    std::vector<double> raw(z.begin(), z.end());
+    denormalizeInputInPlace(raw);
     return raw;
+}
+
+void
+Surrogate::denormalizeInputInPlace(std::span<double> features) const
+{
+    inputNorm.invertInPlace(features);
+    transform.invert(features);
 }
 
 void

@@ -55,8 +55,14 @@ class Surrogate
     /** Raw codec features -> conditioned, z-scored network inputs. */
     std::vector<double> normalizeInput(std::span<const double> raw) const;
 
+    /** normalizeInput, overwriting @p features. */
+    void normalizeInputInPlace(std::span<double> features) const;
+
     /** Inverse of normalizeInput. */
     std::vector<double> denormalizeInput(std::span<const double> z) const;
+
+    /** denormalizeInput, overwriting @p features. */
+    void denormalizeInputInPlace(std::span<double> features) const;
 
     /**
      * Predicted EDP normalized by the problem's algorithmic minimum,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/factorization.hpp"
+#include "common/permutation.hpp"
 
 namespace mm {
 
@@ -23,24 +24,6 @@ panicInvalid(const CostTables &tables, const Mapping &m)
     MM_ASSERT(false, "mapping failed descriptor lowering but passes "
                      "MapSpace::validityError; lowering mirror is stale");
     std::abort(); // unreachable: both asserts above throw
-}
-
-/** Allocation-free isPermutation over [0, rank) (rank <= 16). */
-bool
-isPermutationMask(std::span<const int> order, size_t rank)
-{
-    if (order.size() != rank)
-        return false;
-    uint32_t seen = 0;
-    for (int v : order) {
-        if (v < 0 || size_t(v) >= rank)
-            return false;
-        uint32_t bit = uint32_t(1) << uint32_t(v);
-        if (seen & bit)
-            return false;
-        seen |= bit;
-    }
-    return true;
 }
 
 } // namespace
@@ -84,11 +67,8 @@ CostTables::build(const MapSpace &mapSpace)
         relevance[t] = mask;
     }
 
-    dimTables.clear();
-    dimTables.reserve(rank);
-    for (size_t i = 0; i < rank; ++i)
-        dimTables.push_back(
-            &factorTable(mapSpace.problem().bounds[i], kFactorSlots));
+    dimTables.assign(mapSpace.dimTables().begin(),
+                     mapSpace.dimTables().end());
 
     numPes = arch.numPes;
     wordBytes = arch.wordBytes;
@@ -177,7 +157,7 @@ lowerMapping(const CostTables &tables, const Mapping &m,
         panicInvalid(tables, m);
 
     for (const auto &order : m.loopOrder)
-        if (!isPermutationMask(order, rank))
+        if (order.size() != rank || !isPermutation(order))
             panicInvalid(tables, m);
 
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {

@@ -46,7 +46,7 @@ namespace mm {
 class FactorizationTable;
 
 /** Supported problem sizes (paper workloads: rank <= 7, tensors <= 4). */
-inline constexpr size_t kMaxCostRank = 16;
+inline constexpr size_t kMaxCostRank = kMaxRank;
 inline constexpr size_t kMaxCostTensors = 8;
 /** Flattened temporal loops per lane: three levels of `rank` loops. */
 inline constexpr size_t kMaxCostLoops = 3 * kMaxCostRank;
@@ -105,7 +105,7 @@ struct CostTables
     std::vector<uint32_t> termDim;       ///< flattened terms
     std::vector<int64_t> termCoeff;      ///< flattened terms
 
-    /** Per-dimension factorization tables (program-lifetime refs). */
+    /** Per-dimension factorization tables (MapSpace::dimTables). */
     std::vector<const FactorizationTable *> dimTables;
 
     // Architecture constants, indexed by MemLevel where per-level.

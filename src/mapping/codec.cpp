@@ -7,6 +7,25 @@
 
 namespace mm {
 
+namespace {
+
+/**
+ * llround(v) clamped to [1, hi]. Values llround cannot represent (NaN,
+ * infinities, huge magnitudes) go to the nearer bound, NaN to 1, so
+ * every real decodes the same way on every call.
+ */
+int64_t
+roundClamped(double v, int64_t hi)
+{
+    if (!(v >= 1.0))
+        return 1;
+    if (v >= double(hi))
+        return hi;
+    return std::llround(v);
+}
+
+} // namespace
+
 MappingCodec::MappingCodec(const MapSpace &space_)
     : space(&space_), rank(space_.rank()), tensors(space_.tensorCount())
 {
@@ -19,12 +38,27 @@ MappingCodec::encode(const Mapping &m) const
     return encodeWithPid(m, space->problem());
 }
 
+void
+MappingCodec::encode(const Mapping &m, std::span<double> out) const
+{
+    encodeWithPid(m, space->problem(), out);
+}
+
 std::vector<double>
 MappingCodec::encodeWithPid(const Mapping &m, const Problem &pid) const
 {
+    std::vector<double> f(total);
+    encodeWithPid(m, pid, f);
+    return f;
+}
+
+void
+MappingCodec::encodeWithPid(const Mapping &m, const Problem &pid,
+                            std::span<double> f) const
+{
     MM_ASSERT(m.rank() == rank, "mapping rank mismatch");
     MM_ASSERT(pid.rank() == rank, "problem rank mismatch");
-    std::vector<double> f(total, 0.0);
+    MM_ASSERT(f.size() == total, "feature arity mismatch");
 
     for (size_t d = 0; d < rank; ++d)
         f[pidOffset() + d] = double(pid.bounds[d]);
@@ -39,32 +73,40 @@ MappingCodec::encodeWithPid(const Mapping &m, const Problem &pid) const
     for (size_t d = 0; d < rank; ++d)
         f[spatialOffset() + d] = double(m.spatial[d]);
 
+    // Loop orders as per-dimension ranks (rank of dim = its position).
     for (size_t l = 0; l < size_t(kNumMemLevels); ++l) {
-        auto ranks = ranksOf(m.loopOrder[size_t(order[l])]);
-        for (size_t d = 0; d < rank; ++d)
-            f[orderOffset() + l * rank + d] = double(ranks[d]);
+        const auto &loops = m.loopOrder[size_t(order[l])];
+        MM_ASSERT(loops.size() == rank && isPermutation(loops),
+                  "loop order is not a permutation");
+        for (size_t pos = 0; pos < rank; ++pos)
+            f[orderOffset() + l * rank + size_t(loops[pos])] = double(pos);
     }
 
     for (size_t l = 0; l < size_t(kNumOnChipLevels); ++l)
         for (size_t t = 0; t < tensors; ++t)
             f[allocOffset() + l * tensors + t] =
                 double(m.bufferAlloc[l][t]);
-    return f;
 }
 
 Mapping
 MappingCodec::decode(std::span<const double> features) const
 {
+    Mapping m;
+    decode(features, m);
+    return m;
+}
+
+void
+MappingCodec::decode(std::span<const double> features, Mapping &m) const
+{
     MM_ASSERT(features.size() == total, "feature arity mismatch");
     const Problem &prob = space->problem();
-    Mapping m;
     for (auto &t : m.tiling)
-        t.assign(rank, 1);
-    m.spatial.assign(rank, 1);
+        t.resize(rank);
+    m.spatial.resize(rank);
 
     auto roundFactor = [&](double v, size_t d) {
-        int64_t f = int64_t(std::llround(v));
-        return std::clamp<int64_t>(f, 1, 2 * prob.bounds[d]);
+        return roundClamped(v, 2 * prob.bounds[d]);
     };
 
     const MemLevel order[] = {MemLevel::L1, MemLevel::L2, MemLevel::DRAM};
@@ -77,24 +119,21 @@ MappingCodec::decode(std::span<const double> features) const
         m.spatial[d] = roundFactor(features[spatialOffset() + d], d);
 
     for (size_t l = 0; l < size_t(kNumMemLevels); ++l) {
-        std::vector<double> scores(
-            features.begin() + long(orderOffset() + l * rank),
-            features.begin() + long(orderOffset() + (l + 1) * rank));
-        m.loopOrder[size_t(order[l])] = orderFromScores(scores);
+        auto &loops = m.loopOrder[size_t(order[l])];
+        loops.resize(rank);
+        orderFromScores(features.subspan(orderOffset() + l * rank, rank),
+                        loops);
     }
 
     for (size_t l = 0; l < size_t(kNumOnChipLevels); ++l) {
         auto &alloc = m.bufferAlloc[l];
-        alloc.assign(tensors, 1);
-        for (size_t t = 0; t < tensors; ++t) {
-            int64_t banks =
-                int64_t(std::llround(features[allocOffset() + l * tensors
-                                              + t]));
-            alloc[t] = int(std::clamp<int64_t>(
-                banks, 1, space->arch().levels[l].banks));
-        }
+        alloc.resize(tensors);
+        for (size_t t = 0; t < tensors; ++t)
+            alloc[t] = int(roundClamped(features[allocOffset()
+                                                 + l * tensors + t],
+                                        space->arch().levels[l].banks));
     }
-    return space->project(m);
+    space->projectInPlace(m);
 }
 
 } // namespace mm

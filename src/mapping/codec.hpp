@@ -48,15 +48,27 @@ class MappingCodec
     /** Encode @p m tagged with this space's problem id. */
     std::vector<double> encode(const Mapping &m) const;
 
+    /** encode into @p out (featureCount() entries). */
+    void encode(const Mapping &m, std::span<double> out) const;
+
     /** Encode with an explicit problem id (Phase-1 dataset generation). */
     std::vector<double> encodeWithPid(const Mapping &m,
                                       const Problem &pid) const;
 
+    /** encodeWithPid into @p out (featureCount() entries). */
+    void encodeWithPid(const Mapping &m, const Problem &pid,
+                       std::span<double> out) const;
+
     /**
      * Decode a feature vector (pid segment ignored) into a valid mapping:
-     * round, clamp, argsort orders, then MapSpace::project.
+     * round, clamp, argsort orders, then MapSpace::project. Any real
+     * input decodes, NaN and infinities included.
      */
     Mapping decode(std::span<const double> features) const;
+
+    /** decode into @p out, reusing its storage and projecting it in
+     * place. */
+    void decode(std::span<const double> features, Mapping &out) const;
 
   private:
     const MapSpace *space;

@@ -1,6 +1,7 @@
 #include "mapping/map_space.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -20,6 +21,17 @@ smallestPrimeFactor(int64_t n)
         if (n % p == 0)
             return p;
     return n;
+}
+
+/** L2 trip counts (L1 * spatial * L2) of @p m into @p buf. */
+std::span<const int64_t>
+extentsL2(const Mapping &m, std::array<int64_t, kMaxRank> &buf)
+{
+    const size_t d = m.rank();
+    for (size_t i = 0; i < d; ++i)
+        buf[i] = m.tiling[size_t(MemLevel::L1)][i] * m.spatial[i]
+                 * m.tiling[size_t(MemLevel::L2)][i];
+    return {buf.data(), d};
 }
 
 /** log10 of C(n, k). */
@@ -50,20 +62,41 @@ MapSpace::MapSpace(const AcceleratorSpec &arch, const Problem &problem)
     }
     if (arch.levels.size() != size_t(kNumMemLevels))
         fatal("accelerator must describe exactly L1, L2 and DRAM");
+    if (problem.rank() > kMaxRank)
+        fatal(strCat("problem ", problem.name, " has ", problem.rank(),
+                     " dimensions; the map space supports at most ",
+                     kMaxRank));
+
+    for (int64_t bound : problem.bounds)
+        tables.push_back(&factorTable(bound, kFactorSlots));
+    for (size_t t = 0; t < tensors; ++t) {
+        uint32_t mask = 0;
+        for (size_t d = 0; d < problem.rank(); ++d)
+            if (problem.algo->tensors[t].usesDim(int(d)))
+                mask |= uint32_t(1) << d;
+        tensorDims.push_back(mask);
+    }
 }
 
 Mapping
 MapSpace::randomValid(Rng &rng) const
 {
-    const size_t d = rank();
     Mapping m;
-    for (auto &t : m.tiling)
-        t.assign(d, 1);
-    m.spatial.assign(d, 1);
+    randomValid(rng, m);
+    return m;
+}
 
+void
+MapSpace::randomValid(Rng &rng, Mapping &m) const
+{
+    const size_t d = rank();
+    for (auto &t : m.tiling)
+        t.resize(d);
+    m.spatial.resize(d);
+
+    std::array<int64_t, kFactorSlots> f;
     for (size_t i = 0; i < d; ++i) {
-        const auto &table = factorTable(prob->bounds[i], kFactorSlots);
-        auto f = table.sample(rng);
+        tables[i]->sample(rng, f);
         m.tiling[size_t(MemLevel::L1)][i] = f[size_t(FactorSlot::L1)];
         m.spatial[i] = f[size_t(FactorSlot::Spatial)];
         m.tiling[size_t(MemLevel::L2)][i] = f[size_t(FactorSlot::L2)];
@@ -71,8 +104,10 @@ MapSpace::randomValid(Rng &rng) const
     }
     repairSpatial(m);
 
-    for (auto &order : m.loopOrder)
-        order = randomPerm(int(d), rng);
+    for (auto &order : m.loopOrder) {
+        order.resize(d);
+        randomPerm(order, rng);
+    }
 
     const size_t tensors = tensorCount();
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
@@ -86,7 +121,6 @@ MapSpace::randomValid(Rng &rng) const
     repairCapacity(m);
     MM_ASSERT(isMember(m), "randomValid produced invalid mapping: "
                                + validityError(m));
-    return m;
 }
 
 bool
@@ -106,12 +140,11 @@ MapSpace::validityError(const Mapping &m) const
         return "spatial arity mismatch";
 
     for (size_t i = 0; i < d; ++i) {
-        const auto &table = factorTable(prob->bounds[i], kFactorSlots);
         std::array<int64_t, kFactorSlots> f = {
             m.tiling[size_t(MemLevel::L1)][i], m.spatial[i],
             m.tiling[size_t(MemLevel::L2)][i],
             m.tiling[size_t(MemLevel::DRAM)][i]};
-        if (!table.contains(f))
+        if (!tables[i]->contains(f))
             return strCat("illegal factorization for dim ",
                           prob->algo->dimNames[i]);
     }
@@ -141,8 +174,9 @@ MapSpace::validityError(const Mapping &m) const
                           archSpec->levels[size_t(lvl)].name, " banks");
     }
 
-    auto e1 = m.extentsL1();
-    auto e2 = m.extentsL2();
+    const std::span<const int64_t> e1 = m.tiling[size_t(MemLevel::L1)];
+    std::array<int64_t, kMaxRank> e2Buf;
+    const std::span<const int64_t> e2 = extentsL2(m, e2Buf);
     for (size_t t = 0; t < tensors; ++t) {
         if (tensorTileBytes(t, e1) > allocBytes(0, t, m))
             return strCat("tensor ", prob->algo->tensors[t].name,
@@ -157,9 +191,16 @@ MapSpace::validityError(const Mapping &m) const
 Mapping
 MapSpace::project(const Mapping &raw) const
 {
+    Mapping m = raw;
+    projectInPlace(m);
+    return m;
+}
+
+void
+MapSpace::projectInPlace(Mapping &m) const
+{
     const size_t d = rank();
     const size_t tensors = tensorCount();
-    Mapping m = raw;
 
     // Arity repair: missing entries become unit factors / identity data.
     for (auto &t : m.tiling)
@@ -168,24 +209,23 @@ MapSpace::project(const Mapping &raw) const
 
     // Per-dimension factorization repair (adjust the DRAM slot first).
     for (size_t i = 0; i < d; ++i) {
-        const auto &table = factorTable(prob->bounds[i], kFactorSlots);
         std::array<int64_t, kFactorSlots> f = {
             m.tiling[size_t(MemLevel::L1)][i], m.spatial[i],
             m.tiling[size_t(MemLevel::L2)][i],
             m.tiling[size_t(MemLevel::DRAM)][i]};
-        auto fixed = table.repair(f, int(FactorSlot::DRAM));
-        m.tiling[size_t(MemLevel::L1)][i] = fixed[size_t(FactorSlot::L1)];
-        m.spatial[i] = fixed[size_t(FactorSlot::Spatial)];
-        m.tiling[size_t(MemLevel::L2)][i] = fixed[size_t(FactorSlot::L2)];
-        m.tiling[size_t(MemLevel::DRAM)][i] =
-            fixed[size_t(FactorSlot::DRAM)];
+        tables[i]->repair(f, int(FactorSlot::DRAM), f);
+        m.tiling[size_t(MemLevel::L1)][i] = f[size_t(FactorSlot::L1)];
+        m.spatial[i] = f[size_t(FactorSlot::Spatial)];
+        m.tiling[size_t(MemLevel::L2)][i] = f[size_t(FactorSlot::L2)];
+        m.tiling[size_t(MemLevel::DRAM)][i] = f[size_t(FactorSlot::DRAM)];
     }
     repairSpatial(m);
 
     // Loop-order repair: keep the first occurrence of each dimension,
     // then append missing dimensions in index order.
+    std::array<double, kMaxRank> scoreBuf;
+    const std::span<double> score(scoreBuf.data(), d);
     for (auto &order : m.loopOrder) {
-        std::vector<double> score(d);
         for (size_t i = 0; i < d; ++i)
             score[i] = double(2 * d + i);
         for (size_t pos = 0; pos < order.size(); ++pos) {
@@ -194,7 +234,8 @@ MapSpace::project(const Mapping &raw) const
                 && score[size_t(dim)] >= double(2 * d))
                 score[size_t(dim)] = double(pos);
         }
-        order = orderFromScores(score);
+        order.resize(d);
+        orderFromScores(score, order);
     }
 
     // Allocation repair: at least one bank each, shed from the largest.
@@ -217,7 +258,6 @@ MapSpace::project(const Mapping &raw) const
     repairCapacity(m);
     MM_ASSERT(isMember(m),
               "projection produced invalid mapping: " + validityError(m));
-    return m;
 }
 
 void
@@ -243,45 +283,40 @@ MapSpace::repairSpatial(Mapping &m) const
 void
 MapSpace::repairCapacity(Mapping &m) const
 {
-    const auto &algo = *prob->algo;
+    const size_t d = rank();
+    const size_t tensors = tensorCount();
 
     // L1: shrink per-PE tiles by promoting factors to L2 (keeps L2
     // extents constant, so the passes below are independent).
-    for (size_t t = 0; t < algo.tensorCount(); ++t) {
-        while (true) {
-            auto e1 = m.extentsL1();
-            if (tensorTileBytes(t, e1) <= allocBytes(0, t, m))
-                break;
+    auto &l1 = m.tiling[size_t(MemLevel::L1)];
+    for (size_t t = 0; t < tensors; ++t) {
+        while (tensorTileBytes(t, l1) > allocBytes(0, t, m)) {
             size_t dim = size_t(-1);
             int64_t biggest = 1;
-            for (size_t i = 0; i < rank(); ++i) {
-                int64_t f = m.tiling[size_t(MemLevel::L1)][i];
-                if (algo.tensors[t].usesDim(int(i)) && f > biggest) {
-                    biggest = f;
+            for (size_t i = 0; i < d; ++i) {
+                if (usesDim(t, i) && l1[i] > biggest) {
+                    biggest = l1[i];
                     dim = i;
                 }
             }
             MM_ASSERT(dim != size_t(-1),
                       "minimal tile exceeds an L1 bank");
             int64_t p = smallestPrimeFactor(biggest);
-            m.tiling[size_t(MemLevel::L1)][dim] /= p;
+            l1[dim] /= p;
             m.tiling[size_t(MemLevel::L2)][dim] *= p;
         }
     }
 
     // L2: shrink staged tiles by promoting L2 factors (or, failing that,
     // spatial and then L1 factors) to DRAM.
-    for (size_t t = 0; t < algo.tensorCount(); ++t) {
-        while (true) {
-            auto e2 = m.extentsL2();
-            if (tensorTileBytes(t, e2) <= allocBytes(1, t, m))
-                break;
+    std::array<int64_t, kMaxRank> e2Buf;
+    for (size_t t = 0; t < tensors; ++t) {
+        while (tensorTileBytes(t, extentsL2(m, e2Buf)) > allocBytes(1, t, m)) {
             auto promote = [&](std::vector<int64_t> &factors) {
                 size_t dim = size_t(-1);
                 int64_t biggest = 1;
-                for (size_t i = 0; i < rank(); ++i) {
-                    if (algo.tensors[t].usesDim(int(i))
-                        && factors[i] > biggest) {
+                for (size_t i = 0; i < d; ++i) {
+                    if (usesDim(t, i) && factors[i] > biggest) {
                         biggest = factors[i];
                         dim = i;
                     }
@@ -305,9 +340,8 @@ double
 MapSpace::log10Size() const
 {
     double lg = 0.0;
-    for (size_t i = 0; i < rank(); ++i)
-        lg += std::log10(
-            double(factorTable(prob->bounds[i], kFactorSlots).count()));
+    for (const FactorizationTable *table : tables)
+        lg += std::log10(double(table->count()));
     lg += double(kNumMemLevels) * std::log10(factorial(int(rank())));
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
         int64_t banks = archSpec->levels[size_t(lvl)].banks;

@@ -3,10 +3,19 @@
  * The map space M_{a,p} (Definition 2.2) and the three routines the
  * Mind Mappings API requires of every accelerator (Appendix B):
  * getMapping (randomValid), isMember, and getProjection (project).
+ *
+ * Every searcher spends its step in these routines, so they run without
+ * locks or heap allocation: the per-dimension factorization tables are
+ * resolved once, in the constructor, per-dimension scratch lives on the
+ * stack (rank <= kMaxRank), and the out-parameter / in-place forms reuse
+ * the capacity of a caller-owned Mapping. A MapSpace is immutable after
+ * construction; any number of threads may use one concurrently.
  */
 #pragma once
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "arch/accelerator.hpp"
 #include "common/rng.hpp"
@@ -15,6 +24,8 @@
 
 namespace mm {
 
+class FactorizationTable;
+
 /** The set of valid mappings for one (accelerator, problem) pair. */
 class MapSpace
 {
@@ -22,7 +33,8 @@ class MapSpace
     /**
      * Bind an accelerator and problem. Both must outlive the MapSpace.
      * Throws FatalError if the accelerator cannot host the problem
-     * (e.g. fewer allocatable banks than tensors).
+     * (e.g. fewer allocatable banks than tensors) or the problem has
+     * more than kMaxRank dimensions.
      */
     MapSpace(const AcceleratorSpec &arch, const Problem &problem);
 
@@ -40,6 +52,9 @@ class MapSpace
     /** Uniformly sample a valid mapping (paper: getMapping). */
     Mapping randomValid(Rng &rng) const;
 
+    /** randomValid into @p out, reusing its storage. */
+    void randomValid(Rng &rng, Mapping &out) const;
+
     /** Membership test (paper: isMember). */
     bool isMember(const Mapping &m) const;
 
@@ -55,6 +70,23 @@ class MapSpace
      * except for arity fixes.
      */
     Mapping project(const Mapping &m) const;
+
+    /** project, repairing @p m where it stands. */
+    void projectInPlace(Mapping &m) const;
+
+    /** Factorization table of dimension @p d's four factor slots. */
+    const FactorizationTable &
+    dimTable(size_t d) const
+    {
+        return *tables[d];
+    }
+
+    /** All per-dimension tables (program-lifetime pointers). */
+    std::span<const FactorizationTable *const>
+    dimTables() const
+    {
+        return tables;
+    }
 
     /** log10 of the (upper-bound) map-space size, as in Section 5.1.3. */
     double log10Size() const;
@@ -72,8 +104,19 @@ class MapSpace
     /** Move tile factors outward until every tensor tile fits. */
     void repairCapacity(Mapping &m) const;
 
+    /** True iff tensor @p t's projection uses loop dimension @p d. */
+    bool
+    usesDim(size_t t, size_t d) const
+    {
+        return (tensorDims[t] >> d) & 1U;
+    }
+
     const AcceleratorSpec *archSpec;
     const Problem *prob;
+    /** Per-dimension factorization tables, resolved at construction. */
+    std::vector<const FactorizationTable *> tables;
+    /** Bit d of tensorDims[t] set iff tensor t uses dimension d. */
+    std::vector<uint32_t> tensorDims;
 };
 
 } // namespace mm

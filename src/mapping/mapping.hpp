@@ -32,6 +32,13 @@ enum class FactorSlot : int { L1 = 0, Spatial = 1, L2 = 2, DRAM = 3 };
 /** Factor slots per dimension (L1, spatial, L2, DRAM). */
 inline constexpr int kFactorSlots = 4;
 
+/**
+ * Most loop dimensions a problem may have (paper workloads: <= 7).
+ * Map-space routines keep per-dimension scratch on the stack at this
+ * size; MapSpace refuses larger problems.
+ */
+inline constexpr size_t kMaxRank = 16;
+
 /** A point in the map space. */
 struct Mapping
 {

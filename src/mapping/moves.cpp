@@ -1,6 +1,7 @@
 #include "mapping/moves.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/factorization.hpp"
 #include "common/permutation.hpp"
@@ -13,9 +14,8 @@ namespace {
 void
 resampleDim(const MapSpace &space, Mapping &m, size_t d, Rng &rng)
 {
-    const auto &table =
-        factorTable(space.problem().bounds[d], kFactorSlots);
-    auto f = table.sample(rng);
+    std::array<int64_t, kFactorSlots> f;
+    space.dimTable(d).sample(rng, f);
     m.tiling[size_t(MemLevel::L1)][d] = f[size_t(FactorSlot::L1)];
     m.spatial[d] = f[size_t(FactorSlot::Spatial)];
     m.tiling[size_t(MemLevel::L2)][d] = f[size_t(FactorSlot::L2)];
@@ -51,7 +51,16 @@ nudgeSpatial(Mapping &m, size_t d, Rng &rng)
 Mapping
 randomNeighbor(const MapSpace &space, const Mapping &m, Rng &rng)
 {
-    Mapping next = m;
+    Mapping next;
+    randomNeighbor(space, m, rng, next);
+    return next;
+}
+
+void
+randomNeighbor(const MapSpace &space, const Mapping &m, Rng &rng,
+               Mapping &next)
+{
+    next = m;
     const size_t rank = space.rank();
     auto group = AttributeGroup(rng.uniformInt(0, 3));
     switch (group) {
@@ -85,14 +94,24 @@ randomNeighbor(const MapSpace &space, const Mapping &m, Rng &rng)
         break;
       }
     }
-    return space.project(next);
+    space.projectInPlace(next);
 }
 
 Mapping
 crossover(const MapSpace &space, const Mapping &a, const Mapping &b,
           Rng &rng)
 {
-    Mapping child = a;
+    Mapping child;
+    crossover(space, a, b, rng, child);
+    return child;
+}
+
+void
+crossover(const MapSpace &space, const Mapping &a, const Mapping &b,
+          Rng &rng, Mapping &child)
+{
+    MM_ASSERT(&child != &b, "crossover output aliases the second parent");
+    child = a;
     const size_t rank = space.rank();
 
     // Whole per-dimension factor tuples travel together so a useful
@@ -111,21 +130,33 @@ crossover(const MapSpace &space, const Mapping &a, const Mapping &b,
         if (rng.bernoulli(0.5))
             child.bufferAlloc[size_t(lvl)] = b.bufferAlloc[size_t(lvl)];
 
-    return space.project(child);
+    space.projectInPlace(child);
 }
 
 Mapping
 mutate(const MapSpace &space, const Mapping &m, double perAttrProb,
        Rng &rng)
 {
-    Mapping next = m;
+    Mapping next;
+    mutate(space, m, perAttrProb, rng, next);
+    return next;
+}
+
+void
+mutate(const MapSpace &space, const Mapping &m, double perAttrProb,
+       Rng &rng, Mapping &next)
+{
+    next = m;
     const size_t rank = space.rank();
     for (size_t d = 0; d < rank; ++d)
         if (rng.bernoulli(perAttrProb))
             resampleDim(space, next, d, rng);
-    for (int lvl = 0; lvl < kNumMemLevels; ++lvl)
-        if (rng.bernoulli(perAttrProb))
-            next.loopOrder[size_t(lvl)] = randomPerm(int(rank), rng);
+    for (int lvl = 0; lvl < kNumMemLevels; ++lvl) {
+        if (rng.bernoulli(perAttrProb)) {
+            next.loopOrder[size_t(lvl)].resize(rank);
+            randomPerm(next.loopOrder[size_t(lvl)], rng);
+        }
+    }
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
         if (!rng.bernoulli(perAttrProb))
             continue;
@@ -137,7 +168,7 @@ mutate(const MapSpace &space, const Mapping &m, double perAttrProb,
             ++alloc[size_t(
                 rng.uniformInt(0, int64_t(alloc.size()) - 1))];
     }
-    return space.project(next);
+    space.projectInPlace(next);
 }
 
 } // namespace mm

@@ -6,7 +6,10 @@
  * simulated annealing perturbs one attribute per step, the genetic
  * algorithm recombines attribute groups between parents and mutates
  * individual attributes (Appendix A). All operators return *valid*
- * mappings (they finish with MapSpace::project).
+ * mappings (they finish with MapSpace::projectInPlace). Each has an
+ * out-parameter form that writes into a caller-owned Mapping and reuses
+ * its storage, so a search loop that keeps its candidates allocates
+ * nothing per step; the value forms wrap it.
  */
 #pragma once
 
@@ -31,6 +34,10 @@ enum class AttributeGroup : int
  */
 Mapping randomNeighbor(const MapSpace &space, const Mapping &m, Rng &rng);
 
+/** randomNeighbor into @p out (which may alias @p m). */
+void randomNeighbor(const MapSpace &space, const Mapping &m, Rng &rng,
+                    Mapping &out);
+
 /**
  * GA crossover: for each attribute group element, inherit from either
  * parent uniformly at random, then project.
@@ -38,11 +45,19 @@ Mapping randomNeighbor(const MapSpace &space, const Mapping &m, Rng &rng);
 Mapping crossover(const MapSpace &space, const Mapping &a, const Mapping &b,
                   Rng &rng);
 
+/** crossover into @p out (which may alias @p a but not @p b). */
+void crossover(const MapSpace &space, const Mapping &a, const Mapping &b,
+               Rng &rng, Mapping &out);
+
 /**
  * GA mutation: each attribute is independently re-randomized with
  * probability @p perAttrProb, then the result is projected.
  */
 Mapping mutate(const MapSpace &space, const Mapping &m, double perAttrProb,
                Rng &rng);
+
+/** mutate into @p out (which may alias @p m). */
+void mutate(const MapSpace &space, const Mapping &m, double perAttrProb,
+            Rng &rng, Mapping &out);
 
 } // namespace mm

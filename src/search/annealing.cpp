@@ -72,16 +72,19 @@ AnnealingSearcher::run(SearchContext &ctx)
     }
     double currentEnergy = rec.exhausted() ? 0.0 : rec.step(current);
 
+    // One proposal buffer for the whole run: an accepted move swaps it
+    // with the current mapping, so steps allocate nothing.
+    Mapping proposal;
     while (!rec.exhausted()) {
         double progress =
             double(std::min(rec.steps(), horizon)) / double(horizon);
         double temp = tMax * std::exp(decay * progress);
 
-        Mapping proposal = randomNeighbor(space, current, rng);
+        randomNeighbor(space, current, rng, proposal);
         double energy = rec.step(proposal);
         double delta = energy - currentEnergy;
         if (delta <= 0.0 || rng.uniformReal() < std::exp(-delta / temp)) {
-            current = std::move(proposal);
+            std::swap(current, proposal);
             currentEnergy = energy;
         }
     }

@@ -86,7 +86,7 @@ GeneticSearcher::run(SearchContext &ctx)
 
     std::vector<Individual> pop(size_t(cfg.populationSize));
     for (auto &ind : pop)
-        ind.mapping = space.randomValid(rng);
+        space.randomValid(rng, ind.mapping);
     // Optional warm start after the full random init, so the RNG stream
     // (and every unseeded run) is bitwise unchanged.
     if (!cfg.seedFrom.empty()) {
@@ -106,31 +106,34 @@ GeneticSearcher::run(SearchContext &ctx)
         return *winner;
     };
 
+    // Two generations of storage, swapped every generation: children
+    // are bred into the other buffer's mappings, reusing their capacity.
+    std::vector<Individual> next(pop.size());
+    std::vector<size_t> byFitness(pop.size());
     while (!rec.exhausted()) {
         // Elitism: carry the current best forward unchanged.
-        std::vector<size_t> byFitness(pop.size());
         std::iota(byFitness.begin(), byFitness.end(), size_t(0));
         std::sort(byFitness.begin(), byFitness.end(),
                   [&](size_t a, size_t b) {
                       return pop[a].fitness < pop[b].fitness;
                   });
 
-        std::vector<Individual> next;
-        next.reserve(pop.size());
+        size_t filled = 0;
         for (int e = 0; e < cfg.elites; ++e)
-            next.push_back(pop[byFitness[size_t(e)]]);
+            next[filled++] = pop[byFitness[size_t(e)]];
 
-        while (next.size() < pop.size()) {
+        while (filled < next.size()) {
             const Individual &pa = tournament();
             const Individual &pb = tournament();
-            Individual child;
+            Individual &child = next[filled++];
             if (rng.bernoulli(cfg.crossoverProb))
-                child.mapping = crossover(space, pa.mapping, pb.mapping,
-                                          rng);
+                crossover(space, pa.mapping, pb.mapping, rng, child.mapping);
             else
                 child.mapping = pa.mapping;
-            child.mapping =
-                mutate(space, child.mapping, cfg.mutationProb, rng);
+            mutate(space, child.mapping, cfg.mutationProb, rng,
+                   child.mapping);
+            child.fitness = std::numeric_limits<double>::infinity();
+            child.evaluated = false;
             if (detail::childMayInheritFitness(child.mapping, pa.mapping,
                                                pa.evaluated)) {
                 // Unchanged clones inherit the parent's fitness instead
@@ -140,13 +143,12 @@ GeneticSearcher::run(SearchContext &ctx)
                 child.fitness = pa.fitness;
                 child.evaluated = true;
             }
-            next.push_back(std::move(child));
         }
 
         // Elites keep their fitness; everyone else is (re)evaluated in
         // one batch.
         evaluatePending(next);
-        pop = std::move(next);
+        std::swap(pop, next);
     }
 
     return rec.finish(name());

@@ -32,17 +32,18 @@ RandomSearcher::run(SearchContext &ctx)
     // under a wall-clock budget the wall may cut a block short, and
     // its unrecorded tail is dropped just as the sequential loop would
     // never have drawn it.
-    std::vector<Mapping> proposals;
+    // The block's mappings are drawn in place into storage reused from
+    // block to block.
+    std::vector<Mapping> proposals(static_cast<size_t>(kProposalBlock));
     std::vector<const Mapping *> proposalPtrs;
     std::vector<double> norms;
     while (!rec.exhausted()) {
         const size_t block = size_t(rec.plannedSteps(kProposalBlock));
-        proposals.clear();
-        for (size_t i = 0; i < block; ++i)
-            proposals.push_back(space.randomValid(rng));
         proposalPtrs.clear();
-        for (const Mapping &m : proposals)
-            proposalPtrs.push_back(&m);
+        for (size_t i = 0; i < block; ++i) {
+            space.randomValid(rng, proposals[i]);
+            proposalPtrs.push_back(&proposals[i]);
+        }
         norms.resize(block);
         model->normalizedEdpBatch(
             std::span<const Mapping *const>(proposalPtrs),

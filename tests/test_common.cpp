@@ -5,9 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <numeric>
 #include <map>
 #include <set>
 #include <thread>
@@ -23,9 +27,45 @@
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
+#include "support/factor_oracle.hpp"
 
 namespace mm {
 namespace {
+
+/** One tuple drawn into a fresh vector. */
+std::vector<int64_t>
+draw(const FactorizationTable &table, Rng &rng)
+{
+    std::vector<int64_t> f(size_t(table.slotCount()));
+    table.sample(rng, f);
+    return f;
+}
+
+/** FactorizationTable::repair into a fresh vector. */
+std::vector<int64_t>
+repaired(const FactorizationTable &table, std::span<const int64_t> f,
+         int adjustSlot)
+{
+    std::vector<int64_t> out(size_t(table.slotCount()));
+    table.repair(f, adjustSlot, out);
+    return out;
+}
+
+std::vector<int>
+perm(int n, Rng &rng)
+{
+    std::vector<int> order(static_cast<size_t>(n));
+    randomPerm(order, rng);
+    return order;
+}
+
+std::vector<int>
+orderOf(std::span<const double> scores)
+{
+    std::vector<int> order(scores.size());
+    orderFromScores(scores, order);
+    return order;
+}
 
 TEST(Divisors, SmallValues)
 {
@@ -80,7 +120,7 @@ TEST(FactorizationTable, BoundOneHasSingleTuple)
     FactorizationTable table(1, 4);
     EXPECT_EQ(table.count(), 1);
     Rng rng(7);
-    auto f = table.sample(rng);
+    auto f = draw(table, rng);
     EXPECT_EQ(f, (std::vector<int64_t>{1, 1, 1, 1}));
 }
 
@@ -90,7 +130,7 @@ TEST(FactorizationTable, SamplesAreAlwaysLegal)
     for (int64_t bound : {3, 7, 28, 112, 256}) {
         const auto &table = factorTable(bound, 4);
         for (int i = 0; i < 200; ++i) {
-            auto f = table.sample(rng);
+            auto f = draw(table, rng);
             EXPECT_TRUE(table.contains(f)) << "bound=" << bound;
         }
     }
@@ -105,7 +145,7 @@ TEST(FactorizationTable, SamplingIsUniform)
     std::map<std::vector<int64_t>, int> hits;
     const int draws = 20000;
     for (int i = 0; i < draws; ++i)
-        ++hits[table.sample(rng)];
+        ++hits[draw(table, rng)];
     EXPECT_EQ(int64_t(hits.size()), table.count());
     double expect = double(draws) / double(table.count());
     for (const auto &[tuple, n] : hits) {
@@ -133,8 +173,8 @@ TEST(FactorizationTable, RepairIsIdempotentOnLegalTuples)
     Rng rng(3);
     const auto &table = factorTable(28, 4);
     for (int i = 0; i < 100; ++i) {
-        auto f = table.sample(rng);
-        auto fixed = table.repair(f, 3);
+        auto f = draw(table, rng);
+        auto fixed = repaired(table, f, 3);
         EXPECT_EQ(fixed, f);
     }
 }
@@ -148,7 +188,7 @@ TEST(FactorizationTable, RepairFixesArbitraryTuples)
                                   rng.uniformInt(-3, 80),
                                   rng.uniformInt(-3, 80),
                                   rng.uniformInt(-3, 80)};
-        auto fixed = table.repair(f, 3);
+        auto fixed = repaired(table, f, 3);
         EXPECT_TRUE(table.contains(fixed)) << join(f, ",");
     }
 }
@@ -158,7 +198,7 @@ TEST(FactorizationTable, RepairPrefersAdjustSlot)
     // A tuple that only under-shoots should be fixed by raising the
     // chosen slot, leaving others untouched.
     FactorizationTable table(32, 4);
-    auto fixed = table.repair(std::vector<int64_t>{2, 1, 2, 1}, 3);
+    auto fixed = repaired(table, std::vector<int64_t>{2, 1, 2, 1}, 3);
     EXPECT_EQ(fixed[0], 2);
     EXPECT_EQ(fixed[1], 1);
     EXPECT_EQ(fixed[2], 2);
@@ -175,9 +215,9 @@ TEST_P(FactorizationSweep, SampleContainsRepairAgree)
     const auto &table = factorTable(bound, slots);
     Rng rng(uint64_t(bound * 31 + slots));
     for (int i = 0; i < 50; ++i) {
-        auto f = table.sample(rng);
+        auto f = draw(table, rng);
         ASSERT_TRUE(table.contains(f));
-        EXPECT_EQ(table.repair(f, slots - 1), f);
+        EXPECT_EQ(repaired(table, f, slots - 1), f);
     }
 }
 
@@ -187,12 +227,128 @@ INSTANTIATE_TEST_SUITE_P(
                                                   1024, 4096),
                        ::testing::Values(2, 3, 4)));
 
+/**
+ * The table sampler against the linear-scan oracle over every bound
+ * 1..700 and 1-4 slots: the same tuple from the same seed, and the Rng
+ * left in the same state (its next raw() draw agrees), over 200 seeds.
+ */
+TEST(FactorizationOracle, SampleEqualsOracleTupleAndRngState)
+{
+    int64_t mismatches = 0;
+    std::string first;
+    for (int64_t bound = 1; bound <= 700; ++bound) {
+        for (int slots = 1; slots <= 4; ++slots) {
+            const FactorizationTable table(bound, slots);
+            const FactorTableOracle oracle(bound, slots);
+            ASSERT_EQ(table.count(), oracle.count())
+                << "bound=" << bound << " slots=" << slots;
+            for (uint64_t seed = 0; seed < 200; ++seed) {
+                Rng a(seed), b(seed);
+                const auto got = draw(table, a);
+                const auto want = oracle.sample(b);
+                if (got != want || a.raw() != b.raw()) {
+                    if (mismatches++ == 0)
+                        first = strCat("bound=", bound, " slots=", slots,
+                                       " seed=", seed, " got ",
+                                       join(got, "x"), " want ",
+                                       join(want, "x"));
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0) << first;
+
+    // Capped factors (maxFactor below the pad limit), both routines.
+    for (int64_t bound = 1; bound <= 120; ++bound) {
+        for (int64_t cap : {2, 3, 7, 16}) {
+            for (int slots = 1; slots <= 4; ++slots) {
+                const int64_t pad =
+                    bound == 1 ? 1 : bound + std::max<int64_t>(1, bound / 4);
+                if (bruteCount(bound, slots, std::min(cap, pad), pad) == 0)
+                    continue; // no legal tuple: the tables refuse it
+                const FactorizationTable table(bound, slots, cap);
+                const FactorTableOracle oracle(bound, slots, cap);
+                for (uint64_t seed = 0; seed < 20; ++seed) {
+                    Rng a(seed), b(seed);
+                    EXPECT_EQ(draw(table, a), oracle.sample(b));
+                    EXPECT_EQ(a.raw(), b.raw());
+                    std::vector<int64_t> f(static_cast<size_t>(slots));
+                    for (auto &v : f)
+                        v = a.uniformInt(-2, 2 * bound);
+                    EXPECT_EQ(repaired(table, f, slots - 1),
+                              oracle.repair(f, slots - 1));
+                }
+            }
+        }
+    }
+}
+
+/**
+ * repair against the std::log-per-comparison oracle on arbitrary
+ * tuples: entries of 0, negative, in range, above padLimit and huge,
+ * arities short and long, every adjust slot.
+ */
+TEST(FactorizationOracle, RepairEqualsOracleOnArbitraryTuples)
+{
+    Rng rng(2024);
+    int64_t mismatches = 0;
+    std::string first;
+    std::vector<std::pair<int64_t, int>> shapes;
+    for (int64_t bound = 1; bound <= 700; ++bound)
+        for (int slots = 1; slots <= 4; ++slots)
+            shapes.emplace_back(bound, slots);
+    // A few paper-scale bounds, whose pad windows are far wider.
+    for (int64_t bound : {1024, 2048, 4095, 4096, 12544})
+        shapes.emplace_back(bound, 4);
+    for (const auto &[bound, slots] : shapes) {
+        const FactorizationTable table(bound, slots);
+        const FactorTableOracle oracle(bound, slots);
+        const int64_t pad = oracle.padLimitValue();
+        for (int i = 0; i < 24; ++i) {
+            size_t arity = size_t(slots);
+            if (i % 8 == 6)
+                arity = size_t(rng.uniformInt(0, slots));
+            else if (i % 8 == 7)
+                arity = size_t(slots) + 2;
+            std::vector<int64_t> f(arity);
+            for (auto &v : f) {
+                switch (rng.uniformInt(0, 5)) {
+                  case 0: v = 0; break;
+                  case 1: v = rng.uniformInt(-100, -1); break;
+                  case 2: v = rng.uniformInt(pad + 1, 3 * pad + 1); break;
+                  case 3: v = std::numeric_limits<int64_t>::max(); break;
+                  default: v = rng.uniformInt(1, pad); break;
+                }
+            }
+            const int adjust = int(rng.uniformInt(0, slots - 1));
+            const auto got = repaired(table, f, adjust);
+            const auto want = oracle.repair(f, adjust);
+            if (got != want && mismatches++ == 0)
+                first = strCat("bound=", bound, " slots=", slots,
+                               " in ", join(f, ","), " got ",
+                               join(got, "x"), " want ",
+                               join(want, "x"));
+        }
+    }
+    EXPECT_EQ(mismatches, 0) << first;
+}
+
+TEST(FactorizationTable, RepairMayWriteOverItsInput)
+{
+    const FactorizationTable table(96, 4);
+    std::vector<int64_t> f = {7, 0, 500, -3};
+    const auto want = repaired(table, f, 3);
+    table.repair(f, 3, f);
+    EXPECT_EQ(f, want);
+    EXPECT_TRUE(table.contains(f));
+}
+
 TEST(Permutation, RoundTrip)
 {
     Rng rng(5);
     for (int n : {1, 2, 5, 7}) {
         for (int i = 0; i < 20; ++i) {
-            auto order = randomPerm(n, rng);
+            auto order = perm(n, rng);
             ASSERT_TRUE(isPermutation(order));
             auto ranks = ranksOf(order);
             EXPECT_EQ(orderFromRanks(ranks), order);
@@ -203,15 +359,74 @@ TEST(Permutation, RoundTrip)
 TEST(Permutation, OrderFromScoresSortsAscending)
 {
     std::vector<double> scores = {2.5, -1.0, 0.25};
-    auto order = orderFromScores(scores);
+    auto order = orderOf(scores);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
 
 TEST(Permutation, OrderFromScoresBreaksTiesStably)
 {
     std::vector<double> scores = {1.0, 1.0, 0.0};
-    auto order = orderFromScores(scores);
+    auto order = orderOf(scores);
     EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+}
+
+/** orderFromScores against std::stable_sort, ties included. */
+TEST(Permutation, OrderFromScoresEqualsStableSort)
+{
+    Rng rng(17);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const size_t n = size_t(rng.uniformInt(0, 16));
+        std::vector<double> scores(n);
+        for (auto &v : scores) {
+            // Few distinct values so ties are common; signed zeros and
+            // infinities compare like any other non-NaN value.
+            switch (rng.uniformInt(0, 7)) {
+              case 0: v = -0.0; break;
+              case 1: v = 0.0; break;
+              case 2: v = std::numeric_limits<double>::infinity(); break;
+              case 3: v = -std::numeric_limits<double>::infinity(); break;
+              default: v = double(rng.uniformInt(-3, 3)) * 0.5; break;
+            }
+        }
+        std::vector<int> want(n);
+        std::iota(want.begin(), want.end(), 0);
+        std::stable_sort(want.begin(), want.end(), [&](int a, int b) {
+            return scores[size_t(a)] < scores[size_t(b)];
+        });
+        EXPECT_EQ(orderOf(scores), want) << join(scores, ",");
+    }
+}
+
+/** NaN scores (a diverged surrogate or actor) still decode to one
+ * well-defined permutation. */
+TEST(Permutation, OrderFromScoresWithNanIsAPermutation)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Rng rng(23);
+    for (int trial = 0; trial < 500; ++trial) {
+        std::vector<double> scores(7);
+        for (auto &v : scores)
+            v = rng.bernoulli(0.4) ? nan : rng.uniformReal(-2.0, 2.0);
+        const auto order = orderOf(scores);
+        EXPECT_TRUE(isPermutation(order));
+        EXPECT_EQ(orderOf(scores), order);
+    }
+    EXPECT_EQ(orderOf(std::vector<double>{nan, nan, nan}),
+              (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Permutation, IsPermutationRejectsDuplicatesAndRange)
+{
+    EXPECT_TRUE(isPermutation(std::vector<int>{}));
+    EXPECT_TRUE(isPermutation(std::vector<int>{2, 0, 1}));
+    EXPECT_FALSE(isPermutation(std::vector<int>{0, 0, 1}));
+    EXPECT_FALSE(isPermutation(std::vector<int>{0, 3, 1}));
+    EXPECT_FALSE(isPermutation(std::vector<int>{-1, 0, 1}));
+    std::vector<int> big(100);
+    std::iota(big.rbegin(), big.rend(), 0);
+    EXPECT_TRUE(isPermutation(big));
+    big[50] = big[51];
+    EXPECT_FALSE(isPermutation(big));
 }
 
 TEST(Permutation, Factorial)

@@ -6,9 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "mapping/codec.hpp"
 #include "mapping/map_space.hpp"
@@ -153,6 +156,81 @@ TEST(MapSpace, RejectsUndersizedAccelerator)
     EXPECT_THROW(MapSpace(arch, p), FatalError);
 }
 
+TEST(MapSpace, RejectsProblemsAboveMaxRank)
+{
+    AlgorithmSpec wide;
+    wide.name = "wide";
+    TensorSpec out{"Out", {}, true};
+    for (size_t d = 0; d <= kMaxRank; ++d) {
+        wide.dimNames.push_back("D" + std::to_string(d));
+        out.dims.push_back({ProjTerm{int(d), 1}});
+    }
+    wide.tensors.push_back(out);
+    AcceleratorSpec arch = AcceleratorSpec::paperDefault();
+    Problem p = makeProblem(wide, "wide",
+                            std::vector<int64_t>(kMaxRank + 1, 2));
+    EXPECT_THROW(MapSpace(arch, p), FatalError);
+}
+
+TEST(MapSpace, OutParameterFormsReuseAnyMapping)
+{
+    // Writing into a mapping of another shape (here: another space's)
+    // gives exactly what the value forms return.
+    auto cnn = paperCnnSpace();
+    auto mtt = paperMttkrpSpace();
+    Rng shape(5), a(31), b(31);
+    for (int i = 0; i < 50; ++i) {
+        Mapping reused = cnn.space.randomValid(shape);
+        mtt.space.randomValid(b, reused);
+        EXPECT_EQ(mtt.space.randomValid(a), reused);
+
+        Mapping raw = reused;
+        raw.spatial[0] = 1000;
+        raw.loopOrder[0] = {3, 3};
+        const Mapping projected = mtt.space.project(raw);
+        mtt.space.projectInPlace(raw);
+        EXPECT_EQ(raw, projected);
+    }
+}
+
+/** Per-thread workload of the concurrency test: sample, project and
+ * decode on the shared space, hashed. */
+uint64_t
+primitiveWorkload(const MapSpace &space, const MappingCodec &codec,
+                  uint64_t seed);
+
+/**
+ * Eight threads sample, project and decode on one shared MapSpace (and
+ * build map spaces for new bounds, which populates the factor-table
+ * cache concurrently). The primitives take no lock and keep no mutable
+ * state, so each thread's results equal the serial run's; under TSan
+ * this also checks that they touch no shared mutable data.
+ */
+TEST(MapSpace, ConcurrentPrimitivesOnOneSpaceMatchSerial)
+{
+    auto fx = paperCnnSpace();
+    MappingCodec codec(fx.space);
+    constexpr int kThreads = 8;
+    std::array<uint64_t, kThreads> serial{}, parallel{};
+    for (int t = 0; t < kThreads; ++t)
+        serial[size_t(t)] = primitiveWorkload(fx.space, codec, uint64_t(t));
+
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            Problem own = mttkrpProblem("own", 3000 + t, 64, 64, 64);
+            MapSpace ownSpace(fx.arch, own);
+            Rng rng(static_cast<uint64_t>(t));
+            EXPECT_TRUE(ownSpace.isMember(ownSpace.randomValid(rng)));
+            parallel[size_t(t)] =
+                primitiveWorkload(fx.space, codec, uint64_t(t));
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(parallel, serial);
+}
+
 TEST(MapSpace, Log10SizeIsLargeForPaperProblems)
 {
     auto cnn = paperCnnSpace();
@@ -223,6 +301,27 @@ TEST(Codec, DecodeHandlesArbitraryReals)
             v = rng.uniformReal(-50.0, 300.0);
         Mapping m = codec.decode(f);
         EXPECT_TRUE(fx.space.isMember(m)) << fx.space.validityError(m);
+    }
+
+    // Non-finite and huge features, as a diverged surrogate or DDPG
+    // actor produces them: still a member, the same on every call.
+    const double special[] = {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              1e300, -1e300};
+    for (int i = 0; i < 200; ++i) {
+        std::vector<double> f(codec.featureCount());
+        for (auto &v : f)
+            v = rng.bernoulli(0.5) ? special[rng.uniformInt(0, 4)]
+                                   : rng.uniformReal(-50.0, 300.0);
+        if (i == 0)
+            std::fill(f.begin(), f.end(), special[0]);
+        Mapping m = codec.decode(f);
+        EXPECT_TRUE(fx.space.isMember(m)) << fx.space.validityError(m);
+        EXPECT_EQ(codec.decode(f), m);
+        Mapping reused = fx.space.randomValid(rng);
+        codec.decode(f, reused);
+        EXPECT_EQ(reused, m);
     }
 }
 
@@ -395,6 +494,26 @@ corrupted(const MapSpace &space, Rng &noise)
         m.loopOrder[size_t(noise.uniformInt(0, kNumMemLevels - 1))]
             .resize(d / 2);
     return m;
+}
+
+uint64_t
+primitiveWorkload(const MapSpace &space, const MappingCodec &codec,
+                  uint64_t seed)
+{
+    Fnv h;
+    Rng rng(seed);
+    Mapping m;
+    std::vector<double> f(codec.featureCount());
+    for (int i = 0; i < 100; ++i) {
+        space.randomValid(rng, m);
+        h.add(m);
+        h.add(space.project(corrupted(space, rng)));
+        for (auto &v : f)
+            v = rng.uniformReal(-50.0, 300.0);
+        codec.decode(f, m);
+        h.add(m);
+    }
+    return h.h;
 }
 
 /** Hashes of the six routines, in the order the test computes them. */
