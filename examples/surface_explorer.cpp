@@ -90,7 +90,7 @@ main()
 
     probe("tiling (one dim resampled)", [&](Mapping &m) {
         size_t d = size_t(rng.uniformInt(0, int64_t(space.rank()) - 1));
-        std::array<int64_t, kFactorSlots> f;
+        std::array<int64_t, kFactorSlots> f{};
         space.dimTable(d).sample(rng, f);
         m.tiling[size_t(MemLevel::L1)][d] = f[0];
         m.spatial[d] = f[1];

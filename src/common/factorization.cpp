@@ -63,9 +63,8 @@ FactorizationTable::FactorizationTable(int64_t bound_, int slots_,
     for (int s = 1; s <= slots; ++s) {
         for (int64_t p = 1; p <= padLimit; ++p) {
             int64_t acc = 0;
-            for (const Divisor &d : divisorsOf(p)) {
+            for (const Divisor &d : divisorsOf(p))
                 acc += ways(s - 1, d.cofactor);
-            }
             waysFlat[size_t(s) * width + size_t(p)] = acc;
         }
     }
@@ -81,12 +80,12 @@ FactorizationTable::FactorizationTable(int64_t bound_, int slots_,
     logOf.assign(width, 0.0);
     for (int64_t v = 1; v <= padLimit; ++v)
         logOf[size_t(v)] = std::log(double(v));
-    for (int64_t q = bound; q <= padLimit; ++q) {
-        if (ways(slots, q) > 0) {
-            legalProducts.push_back(q);
-            legalLogs.push_back(logOf[size_t(q)]);
-        }
-    }
+    minLegal = bound;
+    while (ways(slots, minLegal) == 0)
+        ++minLegal;
+    maxLegal = padLimit;
+    while (ways(slots, maxLegal) == 0)
+        --maxLegal;
 }
 
 void
@@ -108,16 +107,8 @@ FactorizationTable::sample(Rng &rng, std::span<int64_t> out) const
     }
     int64_t rem = bound + (first - cumWays.data());
 
-    std::fill(out.begin(), out.end(), 1);
-    for (int s = slots; s >= 1; --s) {
+    for (int s = slots; s > 1; --s) {
         int64_t t = rng.uniformInt(0, ways(s, rem) - 1);
-        if (s == 1) {
-            // One tuple is left (ways(1, rem) == 1): the last slot
-            // takes the whole remainder.
-            out[0] = rem;
-            rem = 1;
-            break;
-        }
         for (const Divisor &d : divisorsOf(rem)) {
             int64_t sub = ways(s - 1, d.cofactor);
             if (t < sub) {
@@ -128,7 +119,12 @@ FactorizationTable::sample(Rng &rng, std::span<int64_t> out) const
             t -= sub;
         }
     }
-    MM_ASSERT(rem == 1, "factor sampling failed to consume product");
+    // One tuple is left for the first slot: the whole remainder. Its
+    // draw over that single tuple still happens, keeping the Rng stream
+    // of a scan that draws once per slot.
+    MM_ASSERT(ways(1, rem) == 1, "factor sampling failed to consume product");
+    rng.uniformInt(0, 0);
+    out[0] = rem;
 }
 
 bool
@@ -153,7 +149,7 @@ FactorizationTable::repair(std::span<const int64_t> factors,
 {
     MM_ASSERT(adjustSlot >= 0 && adjustSlot < slots, "bad adjust slot");
     MM_ASSERT(out.size() == size_t(slots), "factor tuple arity mismatch");
-    std::array<int64_t, kMaxFactorSlots> clampedBuf;
+    std::array<int64_t, kMaxFactorSlots> clampedBuf{};
     const std::span<int64_t> clamped(clampedBuf.data(), size_t(slots));
     for (size_t s = 0; s < clamped.size(); ++s)
         clamped[s] = s < factors.size()
@@ -164,30 +160,24 @@ FactorizationTable::repair(std::span<const int64_t> factors,
         return;
     }
 
-    // Choose the legal target product closest (in log space) to the
-    // clamped tuple's product, the smaller one on a tie; ways(slots, q)
-    // > 0 guarantees the greedy slot-by-slot reconstruction below cannot
-    // get stuck. Logs of distinct integers are strictly increasing (by
-    // ~1/q, far above rounding), so the distance falls strictly up to
-    // logP and rises strictly after it: the closest product is one of
-    // the two legal neighbours of logP, found by binary search.
-    double logP = 0.0;
-    for (int64_t f : clamped)
-        logP += logOf[size_t(f)];
-    const size_t above = size_t(
-        std::upper_bound(legalLogs.begin(), legalLogs.end(), logP)
-        - legalLogs.begin());
-    size_t pick = above;
-    if (above == legalLogs.size()
-        || (above > 0
-            && std::fabs(legalLogs[above - 1] - logP)
-                   <= std::fabs(legalLogs[above] - logP)))
-        pick = above - 1;
-    const int64_t target = legalProducts[pick];
+    // Pull the product to the legal product closest in log space; a
+    // legal one (ways(slots, q) > 0) guarantees the greedy slot-by-slot
+    // reconstruction below cannot get stuck. Every clamped factor is
+    // legal, so the clamped product p failed only the window, and all
+    // legal products lie on one side of it: the closest is the smallest
+    // when p < bound, the largest when p > padLimit. (The running
+    // product stops at bound, so it cannot overflow.)
+    int64_t product = 1;
+    for (int64_t f : clamped) {
+        product *= f;
+        if (product >= bound)
+            break;
+    }
+    const int64_t target = product < bound ? minLegal : maxLegal;
 
     // Greedily rebuild each slot near its clamped value, preferring to
     // spend the adjustment on adjustSlot by fixing it last.
-    std::array<int, kMaxFactorSlots> slotOrder;
+    std::array<int, kMaxFactorSlots> slotOrder{};
     size_t n = 0;
     for (int s = 0; s < slots; ++s)
         if (s != adjustSlot)
@@ -195,7 +185,7 @@ FactorizationTable::repair(std::span<const int64_t> factors,
     slotOrder[n++] = adjustSlot;
 
     std::array<int64_t, kMaxFactorSlots> fixed;
-    std::fill(fixed.begin(), fixed.end(), 1);
+    fixed.fill(1);
     int64_t rem = target;
     for (size_t i = 0; i < n; ++i) {
         int slot = slotOrder[i];

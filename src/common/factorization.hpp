@@ -124,10 +124,9 @@ class FactorizationTable
     std::vector<int64_t> cumWays;
     /** logOf[v] = std::log(double(v)) for v in [1, padLimit]. */
     std::vector<double> logOf;
-    /** Products in [bound, padLimit] with at least one legal tuple,
-     * ascending, and their logOf values. */
-    std::vector<int64_t> legalProducts;
-    std::vector<double> legalLogs;
+    /** Smallest and largest products with at least one legal tuple. */
+    int64_t minLegal;
+    int64_t maxLegal;
 };
 
 /**

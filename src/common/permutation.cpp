@@ -1,7 +1,7 @@
 #include "common/permutation.hpp"
 
-#include <algorithm>
 #include <numeric>
+#include <vector>
 
 namespace mm {
 
@@ -10,30 +10,6 @@ randomPerm(std::span<int> order, Rng &rng)
 {
     std::iota(order.begin(), order.end(), 0);
     rng.shuffle(order);
-}
-
-std::vector<int>
-ranksOf(std::span<const int> order)
-{
-    std::vector<int> ranks(order.size(), -1);
-    for (size_t i = 0; i < order.size(); ++i) {
-        MM_ASSERT(order[i] >= 0 && size_t(order[i]) < order.size(),
-                  "order entry out of range");
-        ranks[size_t(order[i])] = int(i);
-    }
-    return ranks;
-}
-
-std::vector<int>
-orderFromRanks(std::span<const int> ranks)
-{
-    std::vector<int> order(ranks.size(), -1);
-    for (size_t d = 0; d < ranks.size(); ++d) {
-        MM_ASSERT(ranks[d] >= 0 && size_t(ranks[d]) < ranks.size(),
-                  "rank entry out of range");
-        order[size_t(ranks[d])] = int(d);
-    }
-    return order;
 }
 
 void

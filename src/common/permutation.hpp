@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/rng.hpp"
 
@@ -22,12 +21,6 @@ namespace mm {
 /** Fill @p order with a uniformly random permutation of {0..n-1}
  * (n = order.size(); a Fisher-Yates shuffle of the identity). */
 void randomPerm(std::span<int> order, Rng &rng);
-
-/** rank[d] = position of dim d in @p order. */
-std::vector<int> ranksOf(std::span<const int> order);
-
-/** Inverse of ranksOf. */
-std::vector<int> orderFromRanks(std::span<const int> ranks);
 
 /**
  * Decode real-valued per-dimension scores into @p order (same length):

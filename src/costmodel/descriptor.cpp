@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/factorization.hpp"
-#include "common/permutation.hpp"
 
 namespace mm {
 
@@ -24,6 +23,24 @@ panicInvalid(const CostTables &tables, const Mapping &m)
     MM_ASSERT(false, "mapping failed descriptor lowering but passes "
                      "MapSpace::validityError; lowering mirror is stale");
     std::abort(); // unreachable: both asserts above throw
+}
+
+/** Allocation-free isPermutation over [0, rank) (rank <= 16). */
+bool
+isPermutationMask(std::span<const int> order, size_t rank)
+{
+    if (order.size() != rank)
+        return false;
+    uint32_t seen = 0;
+    for (int v : order) {
+        if (v < 0 || size_t(v) >= rank)
+            return false;
+        uint32_t bit = uint32_t(1) << uint32_t(v);
+        if (seen & bit)
+            return false;
+        seen |= bit;
+    }
+    return true;
 }
 
 } // namespace
@@ -157,7 +174,7 @@ lowerMapping(const CostTables &tables, const Mapping &m,
         panicInvalid(tables, m);
 
     for (const auto &order : m.loopOrder)
-        if (order.size() != rank || !isPermutation(order))
+        if (!isPermutationMask(order, rank))
             panicInvalid(tables, m);
 
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {

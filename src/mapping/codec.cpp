@@ -1,6 +1,5 @@
 #include "mapping/codec.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/permutation.hpp"

@@ -94,7 +94,7 @@ MapSpace::randomValid(Rng &rng, Mapping &m) const
         t.resize(d);
     m.spatial.resize(d);
 
-    std::array<int64_t, kFactorSlots> f;
+    std::array<int64_t, kFactorSlots> f{};
     for (size_t i = 0; i < d; ++i) {
         tables[i]->sample(rng, f);
         m.tiling[size_t(MemLevel::L1)][i] = f[size_t(FactorSlot::L1)];
@@ -175,7 +175,7 @@ MapSpace::validityError(const Mapping &m) const
     }
 
     const std::span<const int64_t> e1 = m.tiling[size_t(MemLevel::L1)];
-    std::array<int64_t, kMaxRank> e2Buf;
+    std::array<int64_t, kMaxRank> e2Buf{};
     const std::span<const int64_t> e2 = extentsL2(m, e2Buf);
     for (size_t t = 0; t < tensors; ++t) {
         if (tensorTileBytes(t, e1) > allocBytes(0, t, m))
@@ -223,7 +223,7 @@ MapSpace::projectInPlace(Mapping &m) const
 
     // Loop-order repair: keep the first occurrence of each dimension,
     // then append missing dimensions in index order.
-    std::array<double, kMaxRank> scoreBuf;
+    std::array<double, kMaxRank> scoreBuf{};
     const std::span<double> score(scoreBuf.data(), d);
     for (auto &order : m.loopOrder) {
         for (size_t i = 0; i < d; ++i)
@@ -309,7 +309,7 @@ MapSpace::repairCapacity(Mapping &m) const
 
     // L2: shrink staged tiles by promoting L2 factors (or, failing that,
     // spatial and then L1 factors) to DRAM.
-    std::array<int64_t, kMaxRank> e2Buf;
+    std::array<int64_t, kMaxRank> e2Buf{};
     for (size_t t = 0; t < tensors; ++t) {
         while (tensorTileBytes(t, extentsL2(m, e2Buf)) > allocBytes(1, t, m)) {
             auto promote = [&](std::vector<int64_t> &factors) {

@@ -14,7 +14,7 @@ namespace {
 void
 resampleDim(const MapSpace &space, Mapping &m, size_t d, Rng &rng)
 {
-    std::array<int64_t, kFactorSlots> f;
+    std::array<int64_t, kFactorSlots> f{};
     space.dimTable(d).sample(rng, f);
     m.tiling[size_t(MemLevel::L1)][d] = f[size_t(FactorSlot::L1)];
     m.spatial[d] = f[size_t(FactorSlot::Spatial)];

@@ -350,8 +350,11 @@ TEST(Permutation, RoundTrip)
         for (int i = 0; i < 20; ++i) {
             auto order = perm(n, rng);
             ASSERT_TRUE(isPermutation(order));
-            auto ranks = ranksOf(order);
-            EXPECT_EQ(orderFromRanks(ranks), order);
+            // Per-dimension ranks (the codec's encoding) decode back.
+            std::vector<double> ranks(order.size());
+            for (size_t pos = 0; pos < order.size(); ++pos)
+                ranks[size_t(order[pos])] = double(pos);
+            EXPECT_EQ(orderOf(ranks), order);
         }
     }
 }
