@@ -148,7 +148,7 @@ BoundTables::tuples(size_t d) const
     auto &cache = tupleCache[d];
     if (!cache.empty())
         return cache;
-    const FactorizationTable &table = *cost.dimTables[d];
+    const FactorizationTable &table = mapSpace->dimTable(d);
     std::array<int64_t, kFactorSlots> cur{};
     enumerateTuples(table.boundValue(), table.padLimitValue(),
                     table.maxFactorValue(), 0, 1, cur, cache);
@@ -205,7 +205,7 @@ BoundTables::bound(const PartialAssignment &pa) const
     double pesFixed = 1.0;
     double pesCap = 1.0;
     for (size_t d = 0; d < cost.rank; ++d) {
-        const FactorizationTable &table = *cost.dimTables[d];
+        const FactorizationTable &table = mapSpace->dimTable(d);
         const int64_t boundVal = table.boundValue();
         const int64_t padLimit = table.padLimitValue();
         const int64_t maxFactor = table.maxFactorValue();
@@ -297,7 +297,7 @@ BoundTables::bound(const PartialAssignment &pa) const
         // padded bound at least once — relevance-only, any projection.
         double refills = 1.0;
         for (size_t d = 0; d < cost.rank; ++d)
-            if (cost.relevance[t] >> d & 1)
+            if (mapSpace->tensorDimMask(t) >> d & 1)
                 refills *= double(full[d]);
 
         const double f1 = double(cost.footprint(t, e1));

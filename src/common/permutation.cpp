@@ -1,7 +1,6 @@
 #include "common/permutation.hpp"
 
 #include <numeric>
-#include <vector>
 
 namespace mm {
 
@@ -34,23 +33,16 @@ orderFromScores(std::span<const double> scores, std::span<int> order)
 bool
 isPermutation(std::span<const int> order)
 {
-    if (order.size() <= 64) {
-        uint64_t seen = 0;
-        for (int v : order) {
-            if (v < 0 || size_t(v) >= order.size())
-                return false;
-            const uint64_t bit = uint64_t(1) << unsigned(v);
-            if (seen & bit)
-                return false;
-            seen |= bit;
-        }
-        return true;
-    }
-    std::vector<bool> seen(order.size(), false);
+    MM_ASSERT(order.size() <= 64, "isPermutation supports at most 64 "
+                                  "elements");
+    uint64_t seen = 0;
     for (int v : order) {
-        if (v < 0 || size_t(v) >= order.size() || seen[size_t(v)])
+        if (v < 0 || size_t(v) >= order.size())
             return false;
-        seen[size_t(v)] = true;
+        const uint64_t bit = uint64_t(1) << unsigned(v);
+        if (seen & bit)
+            return false;
+        seen |= bit;
     }
     return true;
 }

@@ -33,8 +33,8 @@ void randomPerm(std::span<int> order, Rng &rng);
  */
 void orderFromScores(std::span<const double> scores, std::span<int> order);
 
-/** True iff @p order is a permutation of {0..n-1} (allocation-free for
- * n <= 64). */
+/** True iff @p order is a permutation of {0..n-1}; n <= 64 (loop orders
+ * have at most MapSpace's kMaxRank entries). */
 bool isPermutation(std::span<const int> order);
 
 /** n! as a double (map-space size accounting; n is small). */

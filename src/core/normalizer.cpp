@@ -51,14 +51,6 @@ StreamingNormalizerFit::finish() const
     return Normalizer::fromMoments(std::move(means), std::move(stds));
 }
 
-std::vector<double>
-Normalizer::apply(std::span<const double> raw) const
-{
-    std::vector<double> out(raw.begin(), raw.end());
-    applyInPlace(out);
-    return out;
-}
-
 void
 Normalizer::applyInPlace(std::span<double> x) const
 {

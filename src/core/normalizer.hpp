@@ -33,10 +33,7 @@ class Normalizer
 
     size_t dim() const { return means.size(); }
 
-    /** (x - mean) / std, elementwise per column. */
-    std::vector<double> apply(std::span<const double> raw) const;
-
-    /** apply, overwriting @p x. */
+    /** (x - mean) / std, elementwise per column, overwriting @p x. */
     void applyInPlace(std::span<double> x) const;
 
     /** Inverse transform. */

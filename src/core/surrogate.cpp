@@ -63,14 +63,6 @@ Surrogate::normalizeInputInPlace(std::span<double> features) const
     inputNorm.applyInPlace(features);
 }
 
-std::vector<double>
-Surrogate::denormalizeInput(std::span<const double> z) const
-{
-    std::vector<double> raw(z.begin(), z.end());
-    denormalizeInputInPlace(raw);
-    return raw;
-}
-
 void
 Surrogate::denormalizeInputInPlace(std::span<double> features) const
 {

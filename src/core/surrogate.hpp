@@ -58,10 +58,7 @@ class Surrogate
     /** normalizeInput, overwriting @p features. */
     void normalizeInputInPlace(std::span<double> features) const;
 
-    /** Inverse of normalizeInput. */
-    std::vector<double> denormalizeInput(std::span<const double> z) const;
-
-    /** denormalizeInput, overwriting @p features. */
+    /** Inverse of normalizeInput, overwriting @p features. */
     void denormalizeInputInPlace(std::span<double> features) const;
 
     /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/factorization.hpp"
+#include "common/permutation.hpp"
 
 namespace mm {
 
@@ -23,24 +24,6 @@ panicInvalid(const CostTables &tables, const Mapping &m)
     MM_ASSERT(false, "mapping failed descriptor lowering but passes "
                      "MapSpace::validityError; lowering mirror is stale");
     std::abort(); // unreachable: both asserts above throw
-}
-
-/** Allocation-free isPermutation over [0, rank) (rank <= 16). */
-bool
-isPermutationMask(std::span<const int> order, size_t rank)
-{
-    if (order.size() != rank)
-        return false;
-    uint32_t seen = 0;
-    for (int v : order) {
-        if (v < 0 || size_t(v) >= rank)
-            return false;
-        uint32_t bit = uint32_t(1) << uint32_t(v);
-        if (seen & bit)
-            return false;
-        seen |= bit;
-    }
-    return true;
 }
 
 } // namespace
@@ -69,23 +52,17 @@ CostTables::build(const MapSpace &mapSpace)
         isOutput[t] = spec.isOutput;
         dimOffset.push_back(uint32_t(dimTermOffset.size()));
         dimCount.push_back(uint32_t(spec.dims.size()));
-        uint16_t mask = 0;
         for (const TensorDim &tdim : spec.dims) {
             dimTermOffset.push_back(uint32_t(termDim.size()));
             dimTermCount.push_back(uint32_t(tdim.size()));
             for (const ProjTerm &term : tdim) {
                 MM_ASSERT(term.dim >= 0 && size_t(term.dim) < rank,
                           "projection term references unknown dimension");
-                mask |= uint16_t(uint16_t(1) << term.dim);
                 termDim.push_back(uint32_t(term.dim));
                 termCoeff.push_back(term.coeff);
             }
         }
-        relevance[t] = mask;
     }
-
-    dimTables.assign(mapSpace.dimTables().begin(),
-                     mapSpace.dimTables().end());
 
     numPes = arch.numPes;
     wordBytes = arch.wordBytes;
@@ -163,7 +140,7 @@ lowerMapping(const CostTables &tables, const Mapping &m,
     for (size_t i = 0; i < rank; ++i) {
         const std::array<int64_t, kFactorSlots> f = {t1[i], sp[i], t2[i],
                                                      td[i]};
-        if (!tables.dimTables[i]->contains(f))
+        if (!tables.space->dimTable(i).contains(f))
             panicInvalid(tables, m);
     }
 
@@ -174,7 +151,7 @@ lowerMapping(const CostTables &tables, const Mapping &m,
         panicInvalid(tables, m);
 
     for (const auto &order : m.loopOrder)
-        if (!isPermutationMask(order, rank))
+        if (order.size() != rank || !isPermutation(order))
             panicInvalid(tables, m);
 
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
@@ -289,7 +266,7 @@ evalDescriptor(const CostTables &tables, const DescriptorBlock &block,
     out.nocWords = 0.0;
 
     for (size_t t = 0; t < tensors; ++t) {
-        const uint16_t mask = tables.relevance[t];
+        const uint32_t mask = tables.space->tensorDimMask(t);
         const double *f = foot + t * kResidencyPoints;
         const double f1 = f[size_t(ResidencyPoint::L1)];
         const double fsp = f[size_t(ResidencyPoint::Spatial)];

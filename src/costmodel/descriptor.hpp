@@ -16,15 +16,17 @@
  *                     tests are bitmask AND + select, never a
  *                     data-dependent branch) into a fixed-size RawCost.
  *
- * CostTables caches everything about the map space the two stages need
- * (tensor relevance masks, flattened halo projections, factorization
- * tables, energy/bandwidth constants), so neither stage touches the
- * AlgorithmSpec's pointer-chasing std::vectors on the hot path.
+ * CostTables caches what the two stages need beyond the MapSpace's own
+ * per-dimension factorization tables and per-tensor relevance masks
+ * (flattened halo projections, energy/bandwidth constants), so neither
+ * stage touches the AlgorithmSpec's pointer-chasing std::vectors on the
+ * hot path.
  *
  * The packing follows LoopModels' bit-packed per-loop cost counters:
- * each flattened loop carries a 16-bit dimension bitmask, each tensor a
- * 16-bit relevance mask, and the three residency boundaries of a lane
- * are byte-sized prefix counts (LoopCounts).
+ * each flattened loop carries a 16-bit dimension bitmask, ANDed with the
+ * tensor's relevance mask (MapSpace::tensorDimMask), and the three
+ * residency boundaries of a lane are byte-sized prefix counts
+ * (LoopCounts).
  *
  * Bitwise contract: for every valid mapping, evalDescriptor() performs
  * the exact floating-point operations of the historical scalar
@@ -42,8 +44,6 @@
 #include "mapping/map_space.hpp"
 
 namespace mm {
-
-class FactorizationTable;
 
 /** Supported problem sizes (paper workloads: rank <= 7, tensors <= 4). */
 inline constexpr size_t kMaxCostRank = kMaxRank;
@@ -78,9 +78,9 @@ static_assert(sizeof(LoopCounts) == 4
 
 /**
  * Per-map-space constants shared by lowering and evaluation: the
- * problem's tensor structure flattened into index-free arrays, the
- * per-dimension factorization tables (resolved once, not per call), and
- * the architecture's energy/bandwidth/capacity scalars.
+ * problem's tensor structure flattened into index-free arrays and the
+ * architecture's energy/bandwidth/capacity scalars. Factorization
+ * tables and relevance masks are read from @ref space.
  */
 struct CostTables
 {
@@ -88,8 +88,6 @@ struct CostTables
     size_t rank = 0;
     size_t tensors = 0;
 
-    /** Bit d set iff the tensor's projection uses loop dimension d. */
-    uint16_t relevance[kMaxCostTensors] = {};
     bool isOutput[kMaxCostTensors] = {};
 
     /**
@@ -104,9 +102,6 @@ struct CostTables
     std::vector<uint32_t> dimTermCount;  ///< per tensor-dimension
     std::vector<uint32_t> termDim;       ///< flattened terms
     std::vector<int64_t> termCoeff;      ///< flattened terms
-
-    /** Per-dimension factorization tables (MapSpace::dimTables). */
-    std::vector<const FactorizationTable *> dimTables;
 
     // Architecture constants, indexed by MemLevel where per-level.
     int64_t numPes = 0;

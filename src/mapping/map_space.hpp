@@ -81,11 +81,11 @@ class MapSpace
         return *tables[d];
     }
 
-    /** All per-dimension tables (program-lifetime pointers). */
-    std::span<const FactorizationTable *const>
-    dimTables() const
+    /** Bit d set iff tensor @p t's projection uses loop dimension d. */
+    uint32_t
+    tensorDimMask(size_t t) const
     {
-        return tables;
+        return tensorDims[t];
     }
 
     /** log10 of the (upper-bound) map-space size, as in Section 5.1.3. */
@@ -108,14 +108,14 @@ class MapSpace
     bool
     usesDim(size_t t, size_t d) const
     {
-        return (tensorDims[t] >> d) & 1U;
+        return (tensorDimMask(t) >> d) & 1U;
     }
 
     const AcceleratorSpec *archSpec;
     const Problem *prob;
     /** Per-dimension factorization tables, resolved at construction. */
     std::vector<const FactorizationTable *> tables;
-    /** Bit d of tensorDims[t] set iff tensor t uses dimension d. */
+    /** Per-tensor dimension masks (tensorDimMask), built at construction. */
     std::vector<uint32_t> tensorDims;
 };
 

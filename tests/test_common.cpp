@@ -425,11 +425,11 @@ TEST(Permutation, IsPermutationRejectsDuplicatesAndRange)
     EXPECT_FALSE(isPermutation(std::vector<int>{0, 0, 1}));
     EXPECT_FALSE(isPermutation(std::vector<int>{0, 3, 1}));
     EXPECT_FALSE(isPermutation(std::vector<int>{-1, 0, 1}));
-    std::vector<int> big(100);
-    std::iota(big.rbegin(), big.rend(), 0);
-    EXPECT_TRUE(isPermutation(big));
-    big[50] = big[51];
-    EXPECT_FALSE(isPermutation(big));
+    std::vector<int> widest(64);
+    std::iota(widest.rbegin(), widest.rend(), 0);
+    EXPECT_TRUE(isPermutation(widest));
+    widest[50] = widest[51];
+    EXPECT_FALSE(isPermutation(widest));
 }
 
 TEST(Permutation, Factorial)

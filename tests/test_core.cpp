@@ -42,8 +42,9 @@ TEST(Normalizer, FitApplyInvertRoundTrip)
     Normalizer norm = Normalizer::fit(data);
 
     std::vector<double> raw = {1.0, 2.0, 3.0};
-    auto z = norm.apply(raw);
-    auto back = norm.invert(z);
+    std::vector<double> back = raw;
+    norm.applyInPlace(back);
+    norm.invertInPlace(back);
     for (size_t i = 0; i < raw.size(); ++i)
         EXPECT_NEAR(back[i], raw[i], 1e-9);
 
@@ -288,7 +289,8 @@ TEST_F(SurrogateFixture, NormalizeDenormalizeRoundTrip)
     Rng rng(31);
     Mapping m = space.randomValid(rng);
     auto raw = codec.encode(m);
-    auto back = sur.denormalizeInput(sur.normalizeInput(raw));
+    auto back = sur.normalizeInput(raw);
+    sur.denormalizeInputInPlace(back);
     for (size_t i = 0; i < raw.size(); ++i)
         EXPECT_NEAR(back[i], raw[i], 1e-6 * std::max(1.0, raw[i]));
 }

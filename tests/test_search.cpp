@@ -484,14 +484,6 @@ TEST_F(ParallelDriverFixture, SeedFromBBWarmStartsChainZero)
 }
 
 /**
- * Phase 2 on one fixed trained surrogate (an MTTKRP model whose hidden
- * layers run the blocked GEMM family and whose input/output layers run
- * the skinny one), pinned to golden best-EDP bits recorded before the
- * surrogate got its frozen inference path (pre-packed weights, input
- * gradient only). The recorded bits held on the AVX-512, AVX2 and
- * portable kernels, in Release, Debug and -march=native builds.
- */
-/**
  * SA, GA and Random best-EDP bits at 500 steps on the two benchmark
  * targets (held-out ResNet_Conv_4 and MTTKRP_small), recorded before
  * the map-space primitives were made allocation-free. The searchers
@@ -535,6 +527,14 @@ TEST(BaselineGolden, SaGaRandomBestEdpMatchRecordedBits)
     }
 }
 
+/**
+ * Phase 2 on one fixed trained surrogate (an MTTKRP model whose hidden
+ * layers run the blocked GEMM family and whose input/output layers run
+ * the skinny one), pinned to golden best-EDP bits recorded before the
+ * surrogate got its frozen inference path (pre-packed weights, input
+ * gradient only). The recorded bits held on the AVX-512, AVX2 and
+ * portable kernels, in Release, Debug and -march=native builds.
+ */
 class PhaseTwoGoldenFixture : public ::testing::Test
 {
   protected:
